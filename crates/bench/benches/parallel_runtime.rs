@@ -332,7 +332,7 @@ fn bench_program(
         name: name.to_string(),
         instrs,
         synchronized_segments: plan.synchronized_segments(),
-        private_words_per_iter: pimg.loop_image.private_words_per_iter,
+        private_words_per_iter: pimg.loop_image().private_words_per_iter,
         sequential_ns: sequential.as_nanos(),
         parallel,
         flip,

@@ -648,7 +648,8 @@ fn run_parallel(module: &Module, opts: &Options) -> Result<(), CliError> {
     // `--sample 0` turns it off, `--sample 1` records every iteration.
     let executor = ParallelExecutor::from_config(threads, &config_of(opts))
         .with_telemetry(TelemetryMode::from_sample_period(opts.sample.unwrap_or(64)));
-    let (run, telemetry) = executor.run_traced(&transformed, &opts.args);
+    let pimg = helix_runtime::ParallelImage::lower(&transformed);
+    let (run, telemetry) = executor.run_parallel_traced(&pimg, &opts.args);
     let parallel = run.map_err(|e| CliError::failed(format!("parallel execution failed: {e}")))?;
     let matches = sequential == parallel;
     if opts.json {
@@ -669,6 +670,8 @@ fn run_parallel(module: &Module, opts: &Options) -> Result<(), CliError> {
                 "signals",
                 Json::uint(transformed.signal_instr_count() as u64),
             ),
+            ("table_builds", Json::uint(pimg.table_builds())),
+            ("jit_chunks", Json::uint(pimg.jit_chunks())),
         ];
         if let Some(report) = &telemetry {
             fields.push(("runtime", runtime_json(report, &executor)));
@@ -943,7 +946,7 @@ fn cmd_trace(opts: &Options) -> Result<(), CliError> {
         let calibration = calibration_of(opts)?;
         let cost = calibration.cost_model();
         let rows = helix_simulator::compare_segment_costs(
-            &pimg.loop_image,
+            pimg.loop_image(),
             &cost,
             &observed,
             calibration.ns_per_cycle(),
@@ -1445,7 +1448,7 @@ fn cmd_simulate(opts: &Options) -> Result<(), CliError> {
             let pimg = helix_runtime::ParallelImage::lower(&transformed);
             let lp = profile.loop_profile(*key);
             *result =
-                helix_simulator::simulate_loop_lowered(plan, &lp, &sim_config, &pimg.loop_image);
+                helix_simulator::simulate_loop_lowered(plan, &lp, &sim_config, pimg.loop_image());
             saved += result.sequential_cycles - result.parallel_cycles;
         }
         sim.parallel_cycles = (sim.sequential_cycles - saved).max(1.0);

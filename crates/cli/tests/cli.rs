@@ -1,7 +1,7 @@
 //! Black-box tests of the `helix` binary: the `serve` daemon smoke test (50 mixed
-//! requests over the stdio batch protocol, one fault-injected panic among them) and
-//! the file-IO error paths (missing input, unwritable output — both must name the
-//! offending path).
+//! requests over the stdio batch protocol, one fault-injected panic among them), the
+//! file-IO error paths (missing input, unwritable output — both must name the
+//! offending path) and the dispatch-table counters of `run --parallel --json`.
 
 use std::process::{Command, Stdio};
 
@@ -181,4 +181,42 @@ fn unwritable_output_path_error_names_the_path() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn parallel_run_json_reports_its_table_builds() {
+    let program = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../corpus/sum_reduction.hir"
+    );
+    let output = Command::new(helix_exe())
+        .args(["run", program, "--parallel", "--threads", "2", "--json"])
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{output:?}");
+    let json = String::from_utf8_lossy(&output.stdout);
+    let field = |key: &str| -> String {
+        let start = json
+            .find(&format!("\"{key}\":"))
+            .unwrap_or_else(|| panic!("no {key} in {json}"))
+            + key.len()
+            + 3;
+        json[start..]
+            .split([',', '}'])
+            .next()
+            .unwrap()
+            .trim_matches('"')
+            .to_string()
+    };
+    // One run builds one table set for the tier kind it ran on (none on the switch tier).
+    let expected = if field("dispatch_tier") == "switch" {
+        0
+    } else {
+        1
+    };
+    assert_eq!(field("table_builds"), expected.to_string(), "{json}");
+    let chunks: u64 = field("jit_chunks").parse().unwrap();
+    if field("dispatch_tier") != "jit" {
+        assert_eq!(chunks, 0, "{json}");
+    }
 }

@@ -12,7 +12,9 @@
 //! * segments whose instruction ranges touch (no parallel code between them) are merged;
 //! * the *data dependence redundancy graph* is built — an edge `d_j → d_i` means `Wait(d_j)`
 //!   is available at every `Wait(d_i)` — and, per Theorem 1, only the dependences with no
-//!   incoming edges plus one representative per cycle keep their synchronization.
+//!   incoming edges plus one representative per cycle keep their own synchronization; each
+//!   covered dependence is folded into a synchronized coverer, whose `Wait`/`Signal` points
+//!   are recomputed so its segment spans the covered endpoints too.
 
 use crate::plan::SequentialSegment;
 use helix_analysis::{Cfg, LoopForest, LoopId};
@@ -26,7 +28,8 @@ pub struct OptimizeStats {
     pub waits_removed: usize,
     /// Segments merged into another segment.
     pub segments_merged: usize,
-    /// Dependences whose synchronization was dropped by Theorem 1.
+    /// Segments whose own synchronization Theorem 1 dropped (their dependences are folded
+    /// into a synchronized coverer).
     pub dependences_covered: usize,
     /// Instructions moved out of segments by Step 5.
     pub instrs_moved_out: usize,
@@ -205,39 +208,8 @@ pub fn minimize_signals_with(
     });
 
     // --- Redundant Wait elimination ---------------------------------------------------
-    // A wait point w of segment s is redundant if another wait point of s strictly dominates
-    // it along every intra-iteration path. Block-level approximation: a wait in block B at
-    // index i is redundant if an earlier wait of the same segment exists in B, or if every
-    // loop predecessor path into B must already have passed a block containing a wait of s.
     for seg in segments.iter_mut() {
-        let mut keep: Vec<InstrRef> = Vec::new();
-        let wait_blocks: BTreeSet<helix_ir::BlockId> =
-            seg.wait_points.iter().map(|w| w.block).collect();
-        let mut sorted = seg.wait_points.clone();
-        sorted.sort();
-        for w in &sorted {
-            let earlier_in_block = keep.iter().any(|k| k.block == w.block && k.index < w.index);
-            // Predecessor coverage is an intra-iteration argument; every in-loop edge into the
-            // header is a back edge (the *previous* iteration's wait), so a wait in the header
-            // can never be covered by its predecessors.
-            let covered_by_all_preds = w.block != natural.header
-                && !cfg.preds(w.block).is_empty()
-                && cfg
-                    .preds(w.block)
-                    .iter()
-                    .filter(|p| in_loop(**p) && **p != natural.header)
-                    .all(|p| wait_blocks.contains(p))
-                && cfg
-                    .preds(w.block)
-                    .iter()
-                    .any(|p| in_loop(*p) && *p != natural.header);
-            if earlier_in_block || covered_by_all_preds {
-                stats.waits_removed += 1;
-            } else {
-                keep.push(*w);
-            }
-        }
-        seg.wait_points = keep;
+        stats.waits_removed += drop_redundant_waits(seg, cfg, natural);
     }
 
     // --- Theorem 1 on the dependence redundancy graph -----------------------------------
@@ -293,6 +265,63 @@ pub fn minimize_signals_with(
         }
         assigned.extend(group);
     }
+    // Dropping Wait(d_i) is only sound if d_i's endpoints also run inside the covering
+    // segment: the availability test above says nothing about where Signal(d_j) fires
+    // (it may fire before d_i's endpoints, or on a path that never waited), so a covered
+    // segment's dependences are folded into a synchronized coverer and the coverer's
+    // points are recomputed over the union of endpoints, exactly as merging does.
+    let mut folded: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let uncovered: Vec<usize> = (0..n).filter(|i| !to_synch.contains(i)).collect();
+    for i in uncovered {
+        // Walk coverers backwards to the nearest synchronized one (a member of a mutual
+        // group whose representative is synchronized is covered by that representative).
+        let mut seen: BTreeSet<usize> = BTreeSet::from([i]);
+        let mut frontier: Vec<usize> = vec![i];
+        let mut coverer = None;
+        while coverer.is_none() && !frontier.is_empty() {
+            let mut next = Vec::new();
+            for k in frontier {
+                for &j in &incoming[k] {
+                    if to_synch.contains(&j) {
+                        coverer = coverer.or(Some(j));
+                    } else if seen.insert(j) {
+                        next.push(j);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        match coverer {
+            Some(j) => folded[j].push(i),
+            None => {
+                to_synch.insert(i);
+            }
+        }
+    }
+    for (j, covered) in folded.iter().enumerate().filter(|(_, c)| !c.is_empty()) {
+        let deps: Vec<_> = covered
+            .iter()
+            .flat_map(|&i| segments[i].dependences.clone())
+            .collect();
+        let instrs: Vec<InstrRef> = covered
+            .iter()
+            .flat_map(|&i| segments[i].instrs.iter().copied())
+            .collect();
+        let transfers_data = covered.iter().any(|&i| segments[i].transfers_data);
+        let seg = &mut segments[j];
+        seg.transfers_data |= transfers_data;
+        seg.dependences.extend(deps);
+        seg.instrs.extend(instrs);
+        let endpoints: BTreeSet<InstrRef> = seg
+            .dependences
+            .iter()
+            .flat_map(|d| [d.src, d.dst])
+            .collect();
+        let (waits, signals) = crate::segments::sync_points(function, cfg, natural, &endpoints);
+        seg.wait_points = waits;
+        seg.signal_points = signals;
+        drop_redundant_waits(seg, cfg, natural);
+    }
     for (i, seg) in segments.iter_mut().enumerate() {
         if !to_synch.contains(&i) {
             seg.synchronized = false;
@@ -300,6 +329,49 @@ pub fn minimize_signals_with(
         }
     }
     stats
+}
+
+/// Removes the redundant waits of `seg` and returns how many. A wait point w is redundant
+/// if another wait point of the segment dominates it along every intra-iteration path.
+/// Block-level approximation: a wait in block B at index i is redundant if an earlier wait
+/// of the same segment exists in B, or if every loop predecessor path into B must already
+/// have passed a block containing a wait of the segment.
+fn drop_redundant_waits(
+    seg: &mut SequentialSegment,
+    cfg: &Cfg,
+    natural: &helix_analysis::NaturalLoop,
+) -> usize {
+    let in_loop = |b: helix_ir::BlockId| natural.contains(b);
+    let mut removed = 0;
+    let mut keep: Vec<InstrRef> = Vec::new();
+    let wait_blocks: BTreeSet<helix_ir::BlockId> =
+        seg.wait_points.iter().map(|w| w.block).collect();
+    let mut sorted = seg.wait_points.clone();
+    sorted.sort();
+    for w in &sorted {
+        let earlier_in_block = keep.iter().any(|k| k.block == w.block && k.index < w.index);
+        // Predecessor coverage is an intra-iteration argument; every in-loop edge into the
+        // header is a back edge (the *previous* iteration's wait), so a wait in the header
+        // can never be covered by its predecessors.
+        let covered_by_all_preds = w.block != natural.header
+            && !cfg.preds(w.block).is_empty()
+            && cfg
+                .preds(w.block)
+                .iter()
+                .filter(|p| in_loop(**p) && **p != natural.header)
+                .all(|p| wait_blocks.contains(p))
+            && cfg
+                .preds(w.block)
+                .iter()
+                .any(|p| in_loop(*p) && *p != natural.header);
+        if earlier_in_block || covered_by_all_preds {
+            removed += 1;
+        } else {
+            keep.push(*w);
+        }
+    }
+    seg.wait_points = keep;
+    removed
 }
 
 /// Privatization follow-up to Step 6: de-synchronizes segments whose every dependence runs

@@ -46,7 +46,15 @@ pub fn dependences_to_synchronize<'a>(
 /// Computes the `Wait`/`Signal` insertion points for a set of dependence endpoints within a
 /// loop: a `Wait` before every endpoint occurrence; `Signal`s right after the last endpoint
 /// of a block whose remaining intra-iteration paths cannot reach an endpoint again, at the
-/// entry of "frontier" clear blocks, and as a catch-all at every latch.
+/// entry of "frontier" clear blocks, and as a catch-all at every latch; and a `Wait` before
+/// every `Signal` too.
+///
+/// The last rule keeps the signal chain transitive. Iteration `i`'s `Wait` only checks
+/// iteration `i-1`'s `Signal`, so that signal must mean "every earlier iteration is done
+/// with the segment". An iteration whose path skips every endpoint would otherwise signal
+/// before its predecessor finished, and its successor would enter the segment while
+/// iteration `i-2` is still inside it (observed as a lost accumulator update). Where a
+/// `Wait` already dominates the signal, redundant-wait elimination removes the new one.
 ///
 /// Both the initial segment construction and the Step 6 segment-merging pass derive points
 /// from this single function: a merged segment must *recompute* its points over the union of
@@ -117,6 +125,10 @@ pub fn sync_points(
     }
     signal_points.sort();
     signal_points.dedup();
+    let mut wait_points = wait_points;
+    wait_points.extend(signal_points.iter().copied());
+    wait_points.sort();
+    wait_points.dedup();
     (wait_points, signal_points)
 }
 

@@ -32,7 +32,12 @@ impl std::fmt::Display for MemoryError {
 impl std::error::Error for MemoryError {}
 
 /// Flat, word-addressed program memory with a bump allocator.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// Equality is observational: two memories are equal when they have the same heap bounds
+/// and every address loads the same bit pattern (floats by `to_bits`, so `-0.0 != 0.0` and
+/// equal NaNs agree). Backing capacity is not observable — `load` past the end of the
+/// backing array returns the default word — so it takes no part in the comparison.
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Memory {
     words: Vec<Value>,
     heap_base: usize,
@@ -68,6 +73,18 @@ impl Memory {
     /// `words()[..heap_base + heap_used]`, the tail is untouched capacity).
     pub fn words(&self) -> &[Value] {
         &self.words
+    }
+
+    /// The prefix of [`Memory::words`] up to and including the last word that is not
+    /// the default `Int(0)`: every address past it loads the default, whatever the
+    /// backing capacity.
+    pub fn live_words(&self) -> &[Value] {
+        let len = self
+            .words
+            .iter()
+            .rposition(|w| !matches!(w, Value::Int(0)))
+            .map_or(0, |last| last + 1);
+        &self.words[..len]
     }
 
     /// A copy sharing this memory's layout and contents but cloning only the live prefix
@@ -153,12 +170,47 @@ impl Memory {
         Ok(())
     }
 
+    /// Writes `values` to consecutive words starting at `address` (one bounds check and
+    /// at most one grow for the whole run).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemoryError`] if any address of the run is out of range.
+    pub fn store_slice(&mut self, address: i64, values: &[Value]) -> Result<(), MemoryError> {
+        let start = self.check(address, true)?;
+        let end = start + values.len();
+        if end > Self::MAX_WORDS {
+            return Err(MemoryError {
+                address: end as i64 - 1,
+                write: true,
+            });
+        }
+        if end > self.words.len() {
+            let new_len = end.next_power_of_two().min(Self::MAX_WORDS);
+            self.words.resize(new_len, Value::default());
+        }
+        self.words[start..end].copy_from_slice(values);
+        Ok(())
+    }
+
     fn check(&self, address: i64, write: bool) -> Result<usize, MemoryError> {
         if address < 0 || address as usize >= Self::MAX_WORDS {
             Err(MemoryError { address, write })
         } else {
             Ok(address as usize)
         }
+    }
+}
+
+impl PartialEq for Memory {
+    fn eq(&self, other: &Self) -> bool {
+        let same_word =
+            |(a, b): (&Value, &Value)| a.is_float() == b.is_float() && a.to_bits() == b.to_bits();
+        let (a, b) = (self.live_words(), other.live_words());
+        self.heap_base == other.heap_base
+            && self.next_free == other.next_free
+            && a.len() == b.len()
+            && a.iter().zip(b).all(same_word)
     }
 }
 
@@ -219,6 +271,56 @@ mod tests {
         assert_eq!(mem.load(base + 1).unwrap(), Value::Int(4));
         assert_eq!(mem.load(base + 2).unwrap(), Value::Int(0));
         assert_eq!(mem.heap_base(), 5);
+    }
+
+    #[test]
+    fn equality_ignores_capacity_but_not_bits_or_bounds() {
+        let mut m = Module::new("m");
+        m.add_global_init("g", 3, vec![Value::Int(3), Value::Float(0.0)]);
+        let mem = Memory::for_module(&m);
+        let fresh = mem.fresh_copy();
+        assert!(fresh.words().len() < mem.words().len());
+        assert_eq!(mem, fresh, "capacity is not observable");
+        let mut grown = fresh.clone();
+        grown.store(100_000, Value::Int(0)).unwrap();
+        assert_eq!(grown, mem, "zero-tail growth is not observable");
+        let mut flipped = mem.clone();
+        flipped.store(2, Value::Int(0)).unwrap();
+        assert_ne!(flipped, mem, "Float(0.0) and Int(0) differ in tag");
+        let mut neg = mem.clone();
+        neg.store(2, Value::Float(-0.0)).unwrap();
+        assert_ne!(neg, mem, "floats compare by bit pattern");
+        let nan = |mut m: Memory| {
+            m.store(3, Value::Float(f64::NAN)).unwrap();
+            m
+        };
+        assert_eq!(nan(mem.clone()), nan(fresh.clone()), "equal NaNs agree");
+        let mut bumped = mem.clone();
+        bumped.alloc(1).unwrap();
+        assert_ne!(bumped, mem, "heap bounds are observable");
+    }
+
+    #[test]
+    fn live_words_end_at_the_last_non_default_word() {
+        let mut mem = Memory::new();
+        assert!(mem.live_words().is_empty());
+        mem.store(7, Value::Int(1)).unwrap();
+        mem.store(9, Value::Float(0.0)).unwrap();
+        assert_eq!(mem.live_words().len(), 10);
+    }
+
+    #[test]
+    fn store_slice_writes_a_run_and_grows() {
+        let mut mem = Memory::new().fresh_copy();
+        mem.store_slice(3, &[Value::Int(4), Value::Float(1.5)])
+            .unwrap();
+        assert_eq!(mem.load(3).unwrap(), Value::Int(4));
+        assert_eq!(mem.load(4).unwrap(), Value::Float(1.5));
+        assert!(mem.store_slice(-1, &[Value::Int(1)]).is_err());
+        let last = Memory::MAX_WORDS as i64 - 1;
+        assert!(mem
+            .store_slice(last, &[Value::Int(1), Value::Int(2)])
+            .is_err());
     }
 
     #[test]

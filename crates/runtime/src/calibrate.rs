@@ -518,7 +518,7 @@ fn time_kernel(image: &ExecImage, func: FuncId, reps: usize, tier: DispatchTier)
     let fi = &image.funcs[func.index()];
     // `built` bundles the table with the JIT artifact whose machine code it points into —
     // it must stay alive for the whole timing loop.
-    let built = crate::jit::build_flat_tables::<LocalTier>(tier, image);
+    let built = crate::jit::build_flat_tables::<LocalTier>(tier, image, func);
     let tables: Option<&FlatTables<LocalTier>> = built.as_ref().map(|(t, _)| t);
     let mut tier = LocalTier {
         memory: image.initial_memory.fresh_copy(),

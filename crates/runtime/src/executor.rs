@@ -11,7 +11,9 @@
 //!
 //! * the [`ParallelImage`] is lowered once per program (not per run) and shared immutably by
 //!   every worker; iteration code carries pre-resolved signal-lane indices and sentinel
-//!   back-edge/exit targets, so workers dispatch straight-line code;
+//!   back-edge/exit targets, so workers dispatch straight-line code. Its dispatch tables
+//!   and JIT code are built on the first run of each tier kind and reused by every later
+//!   run and worker;
 //! * workers come from the process-wide persistent [`WorkerPool`] — no OS threads are
 //!   spawned per run — and are only *activated* once iteration 0's prologue decides the
 //!   loop actually continues: a zero-trip (Phase A/C-only) loop never wakes a single helper
@@ -29,7 +31,7 @@
 //!   every shared address stays bitwise-identical to a sequential run.
 
 use crate::calibrate::CalibrationProfile;
-use crate::jit;
+use crate::jit::{CachedTier, Compiled, DispatchCache};
 use crate::lanes::{PaddedCounter, SignalLanes};
 use crate::parallel_image::{
     run_flat, run_iteration, FlatEnd, FlatError, IterEnd, IterError, IterSync, LocalTier,
@@ -49,6 +51,7 @@ use helix_ir::{DepId, ExecImage, Memory, Value};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Default safety cap on the number of loop iterations dispatched.
 pub const DEFAULT_MAX_ITERATIONS: u64 = 10_000_000;
@@ -183,6 +186,30 @@ pub struct RunOutput {
     /// [`ParallelExecutor::capture_memory`] is set and the run succeeded. The service's
     /// differential check compares this bitwise between cold and warm runs.
     pub memory: Option<Memory>,
+}
+
+/// What one run executes: the whole-module bytecode, the loop, and the dispatch tables
+/// built from the two.
+#[derive(Clone, Copy)]
+struct Lowered<'p> {
+    image: &'p ExecImage,
+    loop_image: &'p LoopImage,
+    dispatch: &'p DispatchCache,
+}
+
+impl<'p> Lowered<'p> {
+    fn of(pimg: &'p ParallelImage) -> Lowered<'p> {
+        Lowered {
+            image: pimg.exec(),
+            loop_image: pimg.loop_image(),
+            dispatch: pimg.dispatch(),
+        }
+    }
+
+    /// The tables of tier kind `T` for the resolved `tier`, built on first use.
+    fn tables<T: CachedTier>(&self, tier: DispatchTier) -> Option<&'p Compiled<T>> {
+        self.dispatch.get(tier, self.image, self.loop_image)
+    }
 }
 
 /// How the parallelized loop ended.
@@ -784,7 +811,7 @@ pub struct ParallelExecutor {
     /// [`RuntimeError::WorkerPanicked`], never as a process abort.
     pub panic_at: Option<u64>,
     /// Capture the run's final memory into [`RunOutput::memory`] (the `*_out` entry
-    /// points); off by default — snapshotting striped memory costs a full copy.
+    /// points); off by default — snapshotting striped memory copies its live prefix.
     pub capture_memory: bool,
 }
 
@@ -885,7 +912,7 @@ impl ParallelExecutor {
     /// parallelized loop's iterations across worker threads, and returns the function's
     /// return value. Lowers the program on every call; callers executing the same program
     /// repeatedly should lower once with [`ParallelImage::lower`] and use
-    /// [`ParallelExecutor::run_parallel`].
+    /// [`ParallelExecutor::run_parallel`], which also reuses the image's dispatch tables.
     ///
     /// # Errors
     ///
@@ -901,8 +928,8 @@ impl ParallelExecutor {
     }
 
     /// Same as [`ParallelExecutor::run`] with a pre-lowered whole-module image of
-    /// `program.module` (the loop portion is lowered on each call; prefer
-    /// [`ParallelExecutor::run_parallel`] for fully amortized lowering).
+    /// `program.module` (the loop portion is lowered, and its dispatch tables built, on
+    /// each call; prefer [`ParallelExecutor::run_parallel`] for fully amortized lowering).
     ///
     /// # Errors
     ///
@@ -929,7 +956,7 @@ impl ParallelExecutor {
         pimg: &ParallelImage,
         args: &[Value],
     ) -> Result<Option<Value>, RuntimeError> {
-        self.run_lowered(&pimg.exec, &pimg.loop_image, args)
+        self.run_lowered_out(Lowered::of(pimg), args).result
     }
 
     /// The worker count the machine can actually run concurrently. When the caller did not
@@ -997,43 +1024,37 @@ impl ParallelExecutor {
         pimg: &ParallelImage,
         args: &[Value],
     ) -> (Result<Option<Value>, RuntimeError>, Option<TelemetryReport>) {
-        self.run_lowered_traced(&pimg.exec, &pimg.loop_image, args)
+        let out = self.run_lowered_out(Lowered::of(pimg), args);
+        (out.result, out.report)
     }
 
     /// [`ParallelExecutor::run_parallel`] with the full output: result, telemetry
     /// report, and — when [`ParallelExecutor::capture_memory`] is set — the run's final
     /// memory.
     pub fn run_parallel_out(&self, pimg: &ParallelImage, args: &[Value]) -> RunOutput {
-        self.run_lowered_out(&pimg.exec, &pimg.loop_image, args)
+        self.run_lowered_out(Lowered::of(pimg), args)
     }
 
+    /// Runs a loop image outside any [`ParallelImage`]: its dispatch tables are built for
+    /// this one run and dropped with it.
     pub(crate) fn run_lowered(
         &self,
         image: &ExecImage,
         loop_image: &LoopImage,
         args: &[Value],
     ) -> Result<Option<Value>, RuntimeError> {
-        self.run_lowered_traced(image, loop_image, args).0
+        let dispatch = DispatchCache::default();
+        let lowered = Lowered {
+            image,
+            loop_image,
+            dispatch: &dispatch,
+        };
+        self.run_lowered_out(lowered, args).result
     }
 
-    fn run_lowered_traced(
-        &self,
-        image: &ExecImage,
-        loop_image: &LoopImage,
-        args: &[Value],
-    ) -> (Result<Option<Value>, RuntimeError>, Option<TelemetryReport>) {
-        let out = self.run_lowered_out(image, loop_image, args);
-        (out.result, out.report)
-    }
-
-    fn run_lowered_out(
-        &self,
-        image: &ExecImage,
-        loop_image: &LoopImage,
-        args: &[Value],
-    ) -> RunOutput {
+    fn run_lowered_out(&self, lowered: Lowered<'_>, args: &[Value]) -> RunOutput {
         let workers = self.effective_workers();
-        let telem = TelemetryRun::for_run(self.telemetry, loop_image, workers);
+        let telem = TelemetryRun::for_run(self.telemetry, lowered.loop_image, workers);
         // The whole run is a panic boundary: any panic that reaches the submitting
         // thread — a Phase A/C fault, the single-worker path, or a primary-worker panic
         // — becomes a recoverable `WorkerPanicked` instead of unwinding the caller.
@@ -1041,9 +1062,9 @@ impl ParallelExecutor {
         // promptly and the pool poisons itself; see `run_pooled_on`.)
         let run = catch_unwind(AssertUnwindSafe(|| {
             if workers == 1 {
-                self.run_single(image, loop_image, args, telem.as_ref())
+                self.run_single(lowered, args, telem.as_ref())
             } else {
-                self.run_pooled(image, loop_image, args, telem.as_ref())
+                self.run_pooled(lowered, args, telem.as_ref())
             }
         }));
         let (mut result, memory) = match run {
@@ -1090,17 +1111,17 @@ impl ParallelExecutor {
     /// threads.
     fn run_single(
         &self,
-        image: &ExecImage,
-        loop_image: &LoopImage,
+        lowered: Lowered<'_>,
         args: &[Value],
         telem_run: Option<&TelemetryRun>,
     ) -> Result<(Option<Value>, Option<Memory>), RuntimeError> {
+        let Lowered {
+            image, loop_image, ..
+        } = lowered;
         let fi = image.func(loop_image.func);
-        let dispatch = self.resolved_tier();
-        // `built_flat` owns any JIT artifact; it must stay alive as long as the table
-        // (the patched head slots point into it), which its scope here guarantees.
-        let built_flat = jit::build_flat_tables::<LocalTier>(dispatch, image);
-        let flat_tables = built_flat.as_ref().map(|(t, _)| t);
+        let compiled = lowered.tables::<LocalTier>(self.resolved_tier());
+        let flat_tables = compiled.map(|c| &c.flat);
+        let iter_table = compiled.map(|c| &c.iter);
         let mut tier = LocalTier {
             memory: image.initial_memory.fresh_copy(),
             arena: PrivateArena::new(),
@@ -1156,8 +1177,6 @@ impl ParallelExecutor {
         #[cfg(not(feature = "telemetry"))]
         let _ = telem;
         let snapshot = regs;
-        let built_iter = jit::build_iter_table::<LocalTier>(dispatch, loop_image);
-        let iter_table = built_iter.as_ref().map(|(t, _)| t);
         let mut counts = CountFlush::new(telem);
         let mut iter_regs = snapshot.clone();
         let mut iteration = 0u64;
@@ -1270,8 +1289,7 @@ impl ParallelExecutor {
     /// keep their exact count.
     fn run_pooled(
         &self,
-        image: &ExecImage,
-        loop_image: &LoopImage,
+        lowered: Lowered<'_>,
         args: &[Value],
         telem: Option<&TelemetryRun>,
     ) -> Result<(Option<Value>, Option<Memory>), RuntimeError> {
@@ -1279,28 +1297,29 @@ impl ParallelExecutor {
             threads: self.effective_workers(),
             ..*self
         };
-        clamped.run_pooled_on(WorkerPool::global(), image, loop_image, args, telem)
+        clamped.run_pooled_on(WorkerPool::global(), lowered, args, telem)
     }
 
     /// [`ParallelExecutor::run_pooled`] against an explicit pool (tests use a private pool
     /// to observe activation behaviour). `telem`, when present, must hold at least
     /// `self.threads` worker slots.
-    pub(crate) fn run_pooled_on(
+    fn run_pooled_on(
         &self,
         pool: &WorkerPool,
-        image: &ExecImage,
-        loop_image: &LoopImage,
+        lowered: Lowered<'_>,
         args: &[Value],
         telem: Option<&TelemetryRun>,
     ) -> Result<(Option<Value>, Option<Memory>), RuntimeError> {
+        let Lowered {
+            image, loop_image, ..
+        } = lowered;
         let fi = image.func(loop_image.func);
-        let dispatch = self.resolved_tier();
-        let memory = ShardedMemory::from_memory(&image.initial_memory);
-        // Owns any JIT artifact; outlives every use of `flat_tables` below.
-        let built_flat = jit::build_flat_tables::<SharedTier>(dispatch, image);
-        let flat_tables = built_flat.as_ref().map(|(t, _)| t);
+        let compiled = lowered.tables::<SharedTier>(self.resolved_tier());
+        let flat_tables = compiled.map(|c| &c.flat);
+        let table = compiled.map(|c| &c.iter);
+        let memory = Arc::new(ShardedMemory::from_memory(&image.initial_memory));
         let mut tier = SharedTier {
-            shared: &memory,
+            shared: Arc::clone(&memory),
             arena: PrivateArena::new(),
             // Phase A (and a solo Phase B prefix) run before any helper can touch memory.
             exclusive: true,
@@ -1359,16 +1378,10 @@ impl ParallelExecutor {
             // out its full deadlock budget on control that will never be released.
             let run = catch_unwind(AssertUnwindSafe(|| {
                 let mut tier = SharedTier {
-                    shared: &memory,
+                    shared: Arc::clone(&memory),
                     arena: PrivateArena::new(),
                     exclusive: false,
                 };
-                // Each helper lowers (and, under the JIT tier, compiles) its own handler
-                // table: a single pass over the loop bytecode, far below the pool-wake
-                // cost it rides on. The artifact binding keeps any native code mapped for
-                // the whole phase.
-                let built = jit::build_iter_table(dispatch, loop_image);
-                let table = built.as_ref().map(|(t, _)| t);
                 // Helpers run with pool indices 1..=helpers; slot 0 is the calling thread.
                 phase_b_worker(
                     &shared,
@@ -1406,8 +1419,6 @@ impl ParallelExecutor {
             // On an oversubscribed machine the primary starts in the solo fast path and
             // switches to the shared claim loop only if a helper asks to join.
             let primary_telem = telem.map(|r| r.ctx(0));
-            let built = jit::build_iter_table(dispatch, loop_image);
-            let table = built.as_ref().map(|(t, _)| t);
             // Primary panic boundary: a panic on the submitting thread mid-Phase-B must
             // record the cancellation before the ticket join below, or the helpers would
             // wait forever on control the primary can no longer release.
@@ -1931,6 +1942,124 @@ mod tests {
         std::env::remove_var("HELIX_DISABLE_JIT");
     }
 
+    /// Runs `pimg` on `threads` workers of `tier` from four OS threads at once, five runs
+    /// each, checking every result.
+    fn run_from_four_threads(
+        pimg: &ParallelImage,
+        threads: usize,
+        tier: DispatchTier,
+        expected: i64,
+    ) {
+        let executor = ParallelExecutor::new(threads)
+            .with_wait_profile(WaitProfile::DEDICATED)
+            .with_dispatch_tier(tier);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..5 {
+                        let got = executor.run_parallel(pimg, &[]).unwrap().unwrap();
+                        assert_eq!(got.as_int(), expected, "{threads} worker(s) on {tier}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn one_image_shares_its_jit_tables_across_threads_runs_and_workers() {
+        let _env = crate::jit::TEST_ENV_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        assert!(crate::jit::jit_supported());
+        let (module, main, transformed) = build_accumulator(48);
+        let expected = Machine::new(&module)
+            .call(main, &[])
+            .unwrap()
+            .unwrap()
+            .as_int();
+        let pimg = ParallelImage::lower(&transformed);
+        assert_eq!(pimg.table_builds(), 0, "tables are built lazily");
+        // One worker: the local tier kind's tables, built once for 20 concurrent runs.
+        run_from_four_threads(&pimg, 1, DispatchTier::Jit, expected);
+        assert_eq!(pimg.table_builds(), 1);
+        let chunks = pimg.jit_chunks();
+        assert!(chunks > 0, "the accumulator has compilable data runs");
+        // Two workers: the pool's tier kind adds exactly one build, shared by every
+        // helper of every run.
+        run_from_four_threads(&pimg, 2, DispatchTier::Jit, expected);
+        assert_eq!(pimg.table_builds(), 2);
+        run_from_four_threads(&pimg, 1, DispatchTier::Jit, expected);
+        run_from_four_threads(&pimg, 2, DispatchTier::Jit, expected);
+        assert_eq!(pimg.table_builds(), 2, "repeated runs build nothing");
+        assert_eq!(pimg.jit_chunks(), 2 * chunks);
+        // The switch tier needs no tables; the threaded tier gets its own slots.
+        run_from_four_threads(&pimg, 2, DispatchTier::Switch, expected);
+        assert_eq!(pimg.table_builds(), 2);
+        run_from_four_threads(&pimg, 2, DispatchTier::Threaded, expected);
+        assert_eq!(pimg.table_builds(), 3);
+        assert_eq!(
+            pimg.jit_chunks(),
+            2 * chunks,
+            "threaded tables compile nothing"
+        );
+        // A clone starts with no tables of its own.
+        assert_eq!(pimg.clone().table_builds(), 0);
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn disabling_the_jit_picks_the_threaded_slot() {
+        let (_module, _main, transformed) = build_accumulator(48);
+        let pimg = ParallelImage::lower(&transformed);
+        let executor = ParallelExecutor::new(2)
+            .with_wait_profile(WaitProfile::DEDICATED)
+            .with_dispatch_tier(DispatchTier::Jit);
+        let _env = crate::jit::TEST_ENV_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let native = executor.run_parallel(&pimg, &[]).unwrap();
+        let chunks = pimg.jit_chunks();
+        assert!(chunks > 0);
+        std::env::set_var("HELIX_DISABLE_JIT", "1");
+        let threaded = executor.run_parallel(&pimg, &[]).unwrap();
+        std::env::remove_var("HELIX_DISABLE_JIT");
+        assert_eq!(threaded, native);
+        assert_eq!(pimg.table_builds(), 2, "the threaded slot was built");
+        assert_eq!(pimg.jit_chunks(), chunks, "and compiled nothing");
+        executor.run_parallel(&pimg, &[]).unwrap();
+        assert_eq!(pimg.table_builds(), 2, "the JIT slot is still cached");
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn dropping_the_image_unmaps_its_native_code() {
+        let (_module, _main, transformed) = build_accumulator(48);
+        let pimg = ParallelImage::lower(&transformed);
+        {
+            let _env = crate::jit::TEST_ENV_LOCK
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
+            for threads in [1, 2] {
+                ParallelExecutor::new(threads)
+                    .with_wait_profile(WaitProfile::DEDICATED)
+                    .with_dispatch_tier(DispatchTier::Jit)
+                    .run_parallel(&pimg, &[])
+                    .unwrap();
+            }
+        }
+        let regions = pimg.dispatch().regions();
+        assert!(!regions.is_empty());
+        for &region in &regions {
+            let perms = crate::jit::perms_of(region).expect("code is mapped");
+            assert!(perms.starts_with("r-x"), "sealed code: {perms}");
+        }
+        drop(pimg);
+        for region in regions {
+            assert_ne!(crate::jit::perms_of(region).as_deref(), Some("r-xp"));
+        }
+    }
+
     #[test]
     fn captured_memory_is_deterministic_across_runs() {
         let (_module, _main, transformed) = build_accumulator(48);
@@ -1987,7 +2116,7 @@ mod tests {
         // Zero iterations: Phase A runs into the header, iteration 0's prologue exits
         // immediately, and no helper must ever be spawned or woken.
         let got = executor
-            .run_pooled_on(&pool, &pimg.exec, &pimg.loop_image, &[Value::Int(0)], None)
+            .run_pooled_on(&pool, Lowered::of(&pimg), &[Value::Int(0)], None)
             .unwrap()
             .0
             .unwrap()
@@ -2000,7 +2129,7 @@ mod tests {
         );
         // With iterations to dispatch the same pool does get activated.
         let got = executor
-            .run_pooled_on(&pool, &pimg.exec, &pimg.loop_image, &[Value::Int(12)], None)
+            .run_pooled_on(&pool, Lowered::of(&pimg), &[Value::Int(12)], None)
             .unwrap()
             .0
             .unwrap()
@@ -2062,7 +2191,7 @@ mod tests {
         let transformed = transform::apply(&module, &plan);
         assert!(!transformed.private_allocs.is_empty());
         let pimg = ParallelImage::lower(&transformed);
-        assert!(pimg.loop_image.private_words_per_iter >= 3);
+        assert!(pimg.loop_image().private_words_per_iter >= 3);
 
         // The parity target is a sequential run of the *clone* (the transform itself adds a
         // frame global, shifting the original module's heap base by design): privatization

@@ -44,11 +44,12 @@
 mod emit;
 pub(crate) mod exec_mem;
 
-use crate::parallel_image::{specialize_op, LoopImage, Tier};
+use crate::parallel_image::{specialize_op, LocalTier, LoopImage, SharedTier, Tier};
 use crate::threaded::{DispatchTier, FlatTables, Handler, IterTable, TCtx, TOp};
 use emit::{compile_stream, Slot};
 pub use exec_mem::ExecMem;
-use helix_ir::{ExecImage, Op, Value};
+use helix_ir::{ExecImage, FuncId, Op, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// The probed memory layout of [`Value`] (`repr(Rust)`, so discovered at run time and
@@ -225,10 +226,33 @@ pub(crate) static TEST_ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(()
 
 /// Keeps a patched table's native code and saved head slots alive. **Must outlive the
 /// table it was built with**: the table's rewritten head slots hold raw addresses into
-/// `parts` — the builders return the two together so scope does the enforcement.
+/// `parts` — the builders return the two together so ownership does the enforcement.
 pub(crate) struct JitArtifact<T: Tier> {
-    #[allow(dead_code)] // held for ownership: tables point into these allocations
     parts: Vec<(ExecMem, Box<[TOp<T>]>)>,
+}
+
+// SAFETY: the artifact is shared read-only once built. Each `ExecMem` was sealed RX by
+// `compile_into` before any table slot pointed into it, and nothing writes to it after
+// the seal (`ExecMem::fill` refuses sealed memory, and no other path holds a writable
+// pointer); the saved head slots are plain `Copy` data that is never mutated either. Any
+// number of threads may therefore call into the code and read the slots concurrently. The
+// mapping is released only by `ExecMem`'s `Drop`, i.e. when the owning [`Compiled`] — and
+// with it the `ParallelImage` that holds it — is dropped, which cannot happen while a run
+// borrows the image.
+unsafe impl<T: Tier> Send for JitArtifact<T> {}
+unsafe impl<T: Tier> Sync for JitArtifact<T> {}
+
+impl<T: Tier> JitArtifact<T> {
+    /// Number of compiled chunks (one saved head slot per chunk).
+    fn chunks(&self) -> usize {
+        self.parts.iter().map(|(_, orig)| orig.len()).sum()
+    }
+
+    /// The mapped code regions (for the unmap-on-drop test).
+    #[cfg(test)]
+    pub(crate) fn regions(&self) -> Vec<(usize, usize)> {
+        self.parts.iter().map(|(mem, _)| mem.region()).collect()
+    }
 }
 
 /// The trampoline installed on each chunk head: `i` = native entry address, `j` = address
@@ -273,35 +297,6 @@ fn compile_into<T: Tier>(
     Some((mem, orig))
 }
 
-/// Builds the per-iteration dispatch table for a resolved tier: `None` for the switch
-/// tier (no table at all), a plain threaded table for `Threaded` (and for `Jit` when
-/// unsupported or nothing compiled), or a chunk-patched table plus its [`JitArtifact`].
-pub(crate) fn build_iter_table<T: Tier>(
-    tier: DispatchTier,
-    loop_image: &LoopImage,
-) -> Option<(IterTable<T>, Option<JitArtifact<T>>)> {
-    if tier == DispatchTier::Switch {
-        return None;
-    }
-    let mut table = IterTable::build(loop_image);
-    let mut artifact = None;
-    if tier == DispatchTier::Jit && jit_supported() {
-        if let Some(lay) = layout() {
-            // Iteration streams pass through as-is: sync and control ops bound chunks,
-            // and in-chunk side exits resume on the (unpatched) interior slots.
-            let slots: Vec<Slot> = loop_image
-                .pcode
-                .iter()
-                .map(|p| Slot::Op(p.clone()))
-                .collect();
-            if let Some(part) = compile_into(&mut table.ops, &slots, lay) {
-                artifact = Some(JitArtifact { parts: vec![part] });
-            }
-        }
-    }
-    Some((table, artifact))
-}
-
 /// One flat-stream slot: `Wait`/`Signal` are no-ops in flat mode (chunks may span them),
 /// control ops bound chunks, data ops specialize exactly like `decode_flat_op` does.
 fn flat_slot(op: &Op) -> Slot {
@@ -317,29 +312,186 @@ fn flat_slot(op: &Op) -> Slot {
     }
 }
 
-/// [`build_iter_table`]'s analogue for the flat engine (phase A/C, callees, calibration
-/// kernels): per-function chunk compilation over the whole image.
+/// Per-function chunk compilation over a whole image's flat tables.
+fn compile_flat<T: Tier>(
+    tables: &mut FlatTables<T>,
+    image: &ExecImage,
+    lay: ValueLayout,
+    parts: &mut Vec<(ExecMem, Box<[TOp<T>]>)>,
+) {
+    for (ops, f) in tables.funcs.iter_mut().zip(&image.funcs) {
+        if ops.is_empty() {
+            continue; // not reachable from the root: never dispatched
+        }
+        let slots: Vec<Slot> = f.code.iter().map(flat_slot).collect();
+        parts.extend(compile_into(ops, &slots, lay));
+    }
+}
+
+/// Builds the flat-engine tables of the functions reachable from `root` (calibration
+/// kernels) for a resolved tier: `None` for the switch tier (no table at all), plain
+/// threaded tables for `Threaded` (and for `Jit` when unsupported or nothing compiled),
+/// or chunk-patched tables plus their [`JitArtifact`].
 pub(crate) fn build_flat_tables<T: Tier>(
     tier: DispatchTier,
     image: &ExecImage,
+    root: FuncId,
 ) -> Option<(FlatTables<T>, Option<JitArtifact<T>>)> {
     if tier == DispatchTier::Switch {
         return None;
     }
-    let mut tables = FlatTables::build(image);
+    let mut tables = FlatTables::build(image, root);
     let mut parts = Vec::new();
     if tier == DispatchTier::Jit && jit_supported() {
         if let Some(lay) = layout() {
-            for (k, f) in image.funcs.iter().enumerate() {
-                let slots: Vec<Slot> = f.code.iter().map(flat_slot).collect();
-                if let Some(part) = compile_into(&mut tables.funcs[k], &slots, lay) {
-                    parts.push(part);
-                }
-            }
+            compile_flat(&mut tables, image, lay, &mut parts);
         }
     }
     let artifact = (!parts.is_empty()).then_some(JitArtifact { parts });
     Some((tables, artifact))
+}
+
+/// The dispatch tables of one image for one tier kind — the flat tables (phase A/C and
+/// callees) and the per-iteration table — together with the native code their patched
+/// head slots call into.
+pub(crate) struct Compiled<T: Tier> {
+    pub(crate) flat: FlatTables<T>,
+    pub(crate) iter: IterTable<T>,
+    /// Outlives both tables: it is dropped only with this struct.
+    native: JitArtifact<T>,
+}
+
+impl<T: Tier> Compiled<T> {
+    fn build(jit: bool, image: &ExecImage, loop_image: &LoopImage) -> Compiled<T> {
+        let mut flat = FlatTables::build(image, loop_image.func);
+        let mut iter = IterTable::build(loop_image);
+        let mut parts = Vec::new();
+        if jit {
+            if let Some(lay) = layout() {
+                compile_flat(&mut flat, image, lay, &mut parts);
+                // Iteration streams pass through as-is: sync and control ops bound
+                // chunks, and in-chunk side exits resume on the (unpatched) interior slots.
+                let slots: Vec<Slot> = loop_image
+                    .pcode
+                    .iter()
+                    .map(|p| Slot::Op(p.clone()))
+                    .collect();
+                parts.extend(compile_into(&mut iter.ops, &slots, lay));
+            }
+        }
+        Compiled {
+            flat,
+            iter,
+            native: JitArtifact { parts },
+        }
+    }
+}
+
+/// The tier kinds the executor caches tables for: [`LocalTier`] (one worker) and
+/// [`SharedTier`] (the pool).
+pub(crate) trait CachedTier: Tier + Sized {
+    fn slot(slots: &TierSlots) -> &OnceLock<Compiled<Self>>;
+}
+
+/// One effective tier's lazily built tables, one slot per tier kind.
+#[derive(Default)]
+pub(crate) struct TierSlots {
+    local: OnceLock<Compiled<LocalTier>>,
+    shared: OnceLock<Compiled<SharedTier>>,
+}
+
+impl CachedTier for LocalTier {
+    fn slot(slots: &TierSlots) -> &OnceLock<Compiled<Self>> {
+        &slots.local
+    }
+}
+
+impl CachedTier for SharedTier {
+    fn slot(slots: &TierSlots) -> &OnceLock<Compiled<Self>> {
+        &slots.shared
+    }
+}
+
+/// The dispatch tables and JIT code of one `ParallelImage`, built lazily — once per
+/// *effective* tier (threaded, or JIT when [`jit_supported`] holds at lookup) and tier
+/// kind — and shared read-only by every worker, run and served request of the image.
+/// The native code lives exactly as long as the image.
+#[derive(Default)]
+pub(crate) struct DispatchCache {
+    threaded: TierSlots,
+    jit: TierSlots,
+    table_builds: AtomicU64,
+    jit_chunks: AtomicU64,
+}
+
+impl DispatchCache {
+    /// The tables `tier` (already resolved, never `Auto`) dispatches `image`/`loop_image`
+    /// with, built on first use; `None` for the switch tier, which needs none. Concurrent
+    /// first callers block on one build.
+    pub(crate) fn get<T: CachedTier>(
+        &self,
+        tier: DispatchTier,
+        image: &ExecImage,
+        loop_image: &LoopImage,
+    ) -> Option<&Compiled<T>> {
+        let jit = match tier {
+            DispatchTier::Switch => return None,
+            DispatchTier::Jit => jit_supported(),
+            DispatchTier::Threaded | DispatchTier::Auto => false,
+        };
+        let slots = if jit { &self.jit } else { &self.threaded };
+        Some(T::slot(slots).get_or_init(|| {
+            let compiled = Compiled::build(jit, image, loop_image);
+            self.table_builds.fetch_add(1, Ordering::Relaxed);
+            self.jit_chunks
+                .fetch_add(compiled.native.chunks() as u64, Ordering::Relaxed);
+            compiled
+        }))
+    }
+
+    /// Table sets built so far (one per effective tier and tier kind that ran).
+    pub(crate) fn table_builds(&self) -> u64 {
+        self.table_builds.load(Ordering::Relaxed)
+    }
+
+    /// JIT chunks compiled so far.
+    pub(crate) fn jit_chunks(&self) -> u64 {
+        self.jit_chunks.load(Ordering::Relaxed)
+    }
+
+    /// Every mapped code region (for the unmap-on-drop test).
+    #[cfg(test)]
+    pub(crate) fn regions(&self) -> Vec<(usize, usize)> {
+        let local = [&self.threaded.local, &self.jit.local]
+            .into_iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|c| c.native.regions());
+        let shared = [&self.threaded.shared, &self.jit.shared]
+            .into_iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|c| c.native.regions());
+        local.chain(shared).collect()
+    }
+}
+
+/// The permissions column of the `/proc/self/maps` line covering `region`, if mapped.
+#[cfg(all(test, target_os = "linux", target_arch = "x86_64"))]
+pub(crate) fn perms_of(region: (usize, usize)) -> Option<String> {
+    let maps = std::fs::read_to_string("/proc/self/maps").ok()?;
+    for line in maps.lines() {
+        let Some((range, rest)) = line.split_once(' ') else {
+            continue;
+        };
+        let Some((s, e)) = range.split_once('-') else {
+            continue;
+        };
+        let s = usize::from_str_radix(s, 16).ok()?;
+        let e = usize::from_str_radix(e, 16).ok()?;
+        if s <= region.0 && region.0 + region.1 <= e {
+            return Some(rest.split(' ').next()?.to_string());
+        }
+    }
+    None
 }
 
 #[cfg(all(test, target_os = "linux", target_arch = "x86_64"))]
@@ -348,24 +500,6 @@ mod tests {
     use crate::parallel_image::POp;
     use helix_ir::interp::{eval_binop, eval_pred, eval_unop};
     use helix_ir::{BinOp, Pred, UnOp};
-
-    fn perms_of(region: (usize, usize)) -> Option<String> {
-        let maps = std::fs::read_to_string("/proc/self/maps").ok()?;
-        for line in maps.lines() {
-            let Some((range, rest)) = line.split_once(' ') else {
-                continue;
-            };
-            let Some((s, e)) = range.split_once('-') else {
-                continue;
-            };
-            let s = usize::from_str_radix(s, 16).ok()?;
-            let e = usize::from_str_radix(e, 16).ok()?;
-            if s <= region.0 && region.0 + region.1 <= e {
-                return Some(rest.split(' ').next()?.to_string());
-            }
-        }
-        None
-    }
 
     #[test]
     fn exec_mem_is_never_writable_and_executable_at_once() {

@@ -29,6 +29,7 @@
 //! (value evaluation, memory faults, call depth, missing terminators) are identical to
 //! [`helix_ir::ImageEvaluator`]; only the accounting is gone.
 
+use crate::jit::DispatchCache;
 use crate::lanes::SignalLanes;
 use crate::pool::{AdaptiveWait, Sleepers, WaitProfile};
 use crate::sharded::{PrivateArena, ShardedMemory, PRIVATE_BASE};
@@ -40,6 +41,7 @@ use helix_ir::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Reserved lane index of the iteration-control dependence (the prologue-ordering chain).
 pub const CONTROL_DEP: u32 = u32::MAX;
@@ -967,23 +969,79 @@ fn cost_class_of_op(op: &Op) -> CostClass {
 }
 
 /// A [`TransformedProgram`] lowered once for the parallel runtime: the whole-module bytecode
-/// (Phase A/C and callees execute from it) plus the loop's iteration image.
-#[derive(Clone, Debug)]
+/// (Phase A/C and callees execute from it) plus the loop's iteration image, and the
+/// dispatch tables and JIT code built from them on first use. The tables are built once
+/// per effective dispatch tier and tier kind (one worker, or the pool) and shared
+/// read-only by every worker, run and served request; the native code is unmapped when
+/// the image is dropped. The parts are read-only so the tables can never go stale.
 pub struct ParallelImage {
-    /// The flat bytecode of the whole transformed module.
-    pub exec: ExecImage,
-    /// The lowered parallel loop.
-    pub loop_image: LoopImage,
+    exec: ExecImage,
+    loop_image: LoopImage,
+    dispatch: DispatchCache,
 }
 
 impl ParallelImage {
     /// Lowers `program` end-to-end. Callers executing the same program repeatedly should
     /// lower once and reuse the image across [`crate::ParallelExecutor::run_parallel`]
-    /// calls — both parts are immutable and shared freely across worker threads.
+    /// calls — every part is immutable and shared freely across worker threads.
     pub fn lower(program: &TransformedProgram) -> ParallelImage {
         let exec = ExecImage::lower(&program.module);
         let loop_image = LoopImage::build(&exec, program);
-        ParallelImage { exec, loop_image }
+        ParallelImage::from_parts(exec, loop_image)
+    }
+
+    /// An image over already-lowered parts (`loop_image` must be lowered from `exec`),
+    /// with no tables built yet.
+    fn from_parts(exec: ExecImage, loop_image: LoopImage) -> ParallelImage {
+        ParallelImage {
+            exec,
+            loop_image,
+            dispatch: DispatchCache::default(),
+        }
+    }
+
+    /// The flat bytecode of the whole transformed module.
+    pub fn exec(&self) -> &ExecImage {
+        &self.exec
+    }
+
+    /// The lowered parallel loop.
+    pub fn loop_image(&self) -> &LoopImage {
+        &self.loop_image
+    }
+
+    /// The lazily built dispatch tables and JIT code.
+    pub(crate) fn dispatch(&self) -> &DispatchCache {
+        &self.dispatch
+    }
+
+    /// Dispatch table sets built for this image so far: one per effective tier and tier
+    /// kind that ran, however many runs, workers or requests used it.
+    pub fn table_builds(&self) -> u64 {
+        self.dispatch.table_builds()
+    }
+
+    /// JIT chunks compiled for this image so far (zero off the JIT tier).
+    pub fn jit_chunks(&self) -> u64 {
+        self.dispatch.jit_chunks()
+    }
+}
+
+/// A clone shares the lowered parts' contents but starts with no tables built.
+impl Clone for ParallelImage {
+    fn clone(&self) -> Self {
+        ParallelImage::from_parts(self.exec.clone(), self.loop_image.clone())
+    }
+}
+
+impl std::fmt::Debug for ParallelImage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ParallelImage")
+            .field("exec", &self.exec)
+            .field("loop_image", &self.loop_image)
+            .field("table_builds", &self.table_builds())
+            .field("jit_chunks", &self.jit_chunks())
+            .finish()
     }
 }
 
@@ -1562,13 +1620,13 @@ pub(crate) trait Tier {
 /// Striped shared memory + per-worker arena: the tier of multi-threaded runs. While
 /// `exclusive` is set (sequential phases and the primary's solo mode, where this thread
 /// provably owns all of memory) shard locks are elided entirely.
-pub(crate) struct SharedTier<'a> {
-    pub shared: &'a ShardedMemory,
+pub(crate) struct SharedTier {
+    pub shared: Arc<ShardedMemory>,
     pub arena: PrivateArena,
     pub exclusive: bool,
 }
 
-impl Tier for SharedTier<'_> {
+impl Tier for SharedTier {
     #[inline]
     fn load(&mut self, addr: i64) -> Result<Value, ExecError> {
         if self.exclusive {
@@ -2577,9 +2635,17 @@ mod tests {
         module: &Module,
         main: FuncId,
     ) -> Option<(TransformedProgram, LoopImage, LoopImage)> {
+        lower_both_with(module, main, HelixConfig::i7_980x())
+    }
+
+    fn lower_both_with(
+        module: &Module,
+        main: FuncId,
+        config: HelixConfig,
+    ) -> Option<(TransformedProgram, LoopImage, LoopImage)> {
         let nesting = LoopNestingGraph::new(module);
         let profile = profile_program_image(module, &nesting, main, &[]).ok()?;
-        let output = Helix::new(HelixConfig::i7_980x()).analyze(module, &profile);
+        let output = Helix::new(config).analyze(module, &profile);
         let plan = output
             .plans
             .values()
@@ -2820,11 +2886,13 @@ mod tests {
             }
         }
         // The corpus currently carries single-segment plans; build a two-segment witness:
-        // two accumulators updated in *different branch arms* (so Step 6 cannot merge their
-        // non-touching segments), whose frontier signal points both land at the join block
-        // — the adjacent-signal shape.
+        // two accumulators updated in *different branch arms*, whose frontier signal points
+        // both land at the join block — the adjacent-signal shape. Step 6 folds the two
+        // segments into one lane (each arm's segment waits in the other arm too, so they
+        // cover each other), so the witness is lowered without it.
         let (module, main) = two_segment_witness();
-        if let Some((_t, fused, plain)) = lower_both(&module, main) {
+        let config = HelixConfig::i7_980x().without_signal_minimization();
+        if let Some((_t, fused, plain)) = lower_both_with(&module, main, config) {
             if fused.lanes.len() >= 2 {
                 assert!(
                     fused.num_phys_lanes() < plain.num_phys_lanes()

@@ -441,22 +441,39 @@ impl ShardedMemory {
     }
 
     /// Copies the live prefix (globals + allocated heap) back into a flat [`Memory`] for
-    /// inspection after a parallel run, starting from the pre-run `template` (typically
-    /// [`helix_ir::ExecImage::initial_memory`]) so the heap layout and bump pointer carry
-    /// over. Words outside the allocated prefix (raw stores past the bump pointer) are not
-    /// captured.
+    /// inspection after a parallel run, starting from a live-size copy of the pre-run
+    /// `template` (typically [`helix_ir::ExecImage::initial_memory`]) so the heap layout and
+    /// bump pointer carry over. The prefix is copied one address chunk per shard lock, as
+    /// [`ShardedMemory::with_shards`] seeds it. Words outside the allocated prefix (raw
+    /// stores past the bump pointer) are not captured.
     pub fn snapshot(&self, template: &Memory) -> Memory {
-        let mut memory = template.clone();
+        let mut memory = template.fresh_copy();
         let extra = self.heap_used().saturating_sub(template.heap_used());
         if extra > 0 {
             memory.alloc(extra).expect("snapshot heap fits");
         }
-        let used = self.heap_base + self.heap_used() as i64;
-        for addr in 1..used {
-            let value = self.load(addr).unwrap_or_default();
+        let used = (self.heap_base + self.heap_used() as i64) as usize;
+        let mut chunk = vec![Value::default(); 1 << CHUNK_BITS];
+        let mut addr = 1usize;
+        while addr < used {
+            let end = (((addr >> CHUNK_BITS) + 1) << CHUNK_BITS).min(used);
+            let run = &mut chunk[..end - addr];
+            let (shard, slot) = self
+                .locate(addr as i64, false)
+                .expect("live prefix in range");
+            {
+                let words = self.shards[shard].0.lock();
+                // Slots past the shard's backing vector were never written: they read zero.
+                let have = words.len().saturating_sub(slot).min(run.len());
+                if have > 0 {
+                    run[..have].copy_from_slice(&words[slot..slot + have]);
+                }
+                run[have..].fill(Value::default());
+            }
             memory
-                .store(addr, value)
+                .store_slice(addr as i64, run)
                 .expect("snapshot address in range");
+            addr = end;
         }
         memory
     }
@@ -578,5 +595,31 @@ mod tests {
         assert_eq!(snap.load(base).unwrap(), Value::Int(11));
         assert_eq!(snap.heap_base(), seq.heap_base());
         assert_eq!(snap.heap_used(), sharded.heap_used());
+    }
+
+    #[test]
+    fn snapshot_is_live_size_and_equals_a_sequential_replay() {
+        let mut module = helix_ir::Module::new("m");
+        module.add_global_init("g", 100, vec![Value::Int(7), Value::Float(1.5)]);
+        let seq = Memory::for_module(&module);
+        let sharded = ShardedMemory::with_shards(&seq, 4);
+        let mut expected = seq.clone();
+        let base = sharded.alloc(1000).unwrap();
+        assert_eq!(expected.alloc(1000).unwrap(), base);
+        // Writes across many chunks and shards, some in chunks no seed touched; the
+        // last chunks' shards stay shorter than their slots.
+        for addr in (2..base + 200).step_by(37) {
+            let v = Value::Int(addr * 11);
+            sharded.store(addr, v).unwrap();
+            expected.store(addr, v).unwrap();
+        }
+        let snap = sharded.snapshot(&seq);
+        assert!(
+            snap.words().len() < seq.words().len() / 16,
+            "captured at live size, not backing capacity"
+        );
+        assert_eq!(snap, expected);
+        assert_eq!(snap.heap_used(), 1000);
+        assert_eq!(snap.load(1).unwrap(), Value::Int(7));
     }
 }

@@ -1440,8 +1440,7 @@ fn decode_flat_op<T: Tier>(op: &Op) -> TOp<T> {
     }
 }
 
-/// The decoded per-iteration code array of one [`LoopImage`]. Cheap to build (one pass
-/// over the stream), so workers build their own instance.
+/// The decoded per-iteration code array of one [`LoopImage`].
 pub(crate) struct IterTable<T: Tier> {
     pub(crate) ops: Vec<TOp<T>>,
 }
@@ -1455,20 +1454,29 @@ impl<T: Tier> IterTable<T> {
 }
 
 /// Decoded whole-function code arrays of an [`ExecImage`] (flat engine: Phase A/C and
-/// callee bodies), parallel to `image.funcs`.
+/// callee bodies), parallel to `image.funcs`. Only the functions reachable from the root
+/// through calls are decoded; the others stay empty, since flat dispatch never enters them.
 pub(crate) struct FlatTables<T: Tier> {
     pub(crate) funcs: Vec<Vec<TOp<T>>>,
 }
 
 impl<T: Tier> FlatTables<T> {
-    pub(crate) fn build(image: &ExecImage) -> FlatTables<T> {
-        FlatTables {
-            funcs: image
-                .funcs
-                .iter()
-                .map(|f| f.code.iter().map(decode_flat_op).collect())
-                .collect(),
+    pub(crate) fn build(image: &ExecImage, root: FuncId) -> FlatTables<T> {
+        let mut funcs: Vec<Vec<TOp<T>>> = image.funcs.iter().map(|_| Vec::new()).collect();
+        let mut seen = vec![false; image.funcs.len()];
+        let mut stack = vec![root.index()];
+        while let Some(f) = stack.pop() {
+            if std::mem::replace(&mut seen[f], true) {
+                continue;
+            }
+            let code = &image.funcs[f].code;
+            stack.extend(code.iter().filter_map(|op| match op {
+                Op::Call { func, .. } => Some(*func as usize),
+                _ => None,
+            }));
+            funcs[f] = code.iter().map(decode_flat_op).collect();
         }
+        FlatTables { funcs }
     }
 }
 

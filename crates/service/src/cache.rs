@@ -46,19 +46,25 @@ pub fn raw_hash(source: &str, entry: &str) -> u64 {
 pub struct ServedImage {
     /// Canonical content-hash key this entry is cached under.
     pub key: u64,
-    /// Entry function id in `exec`.
+    /// Entry function id in the original module (the sequential path calls it).
     pub entry: FuncId,
     /// Entry function name.
     pub entry_name: String,
-    /// Sequential engine image of the *original* module (fallback when no loop
-    /// qualified, and the oracle for differential testing).
-    pub exec: ExecImage,
-    /// Lowered parallel image of the transformed clone, when a plan exists.
-    pub parallel: Option<ParallelImage>,
+    /// What a request for this entry runs.
+    pub code: ServedCode,
     /// Was the plan chosen by the Section 2.2 selection (vs. hottest-candidate fallback)?
     pub plan_selected: bool,
     /// Wall time spent preparing this entry (profile + analyze + transform + lower).
     pub prep: Duration,
+}
+
+/// The executable form of a cached entry: exactly one image, so an entry holds no
+/// bytecode (and no initial memory) it never runs.
+pub enum ServedCode {
+    /// A plan exists: the lowered parallel image of the transformed clone.
+    Parallel(Box<ParallelImage>),
+    /// No loop qualified: the sequential engine image of the original module.
+    Sequential(ExecImage),
 }
 
 /// Monotonic counter snapshot.
@@ -72,6 +78,12 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: usize,
+    /// Dispatch table sets built by the cached parallel images (one per image, effective
+    /// tier and tier kind; see [`ParallelImage::table_builds`]). Evicted images keep
+    /// counting up to their eviction.
+    pub table_builds: u64,
+    /// JIT chunks compiled by the cached parallel images, counted like `table_builds`.
+    pub jit_chunks: u64,
 }
 
 struct Inner {
@@ -81,6 +93,8 @@ struct Inner {
     raw_index: HashMap<u64, u64>,
     /// LRU order of canonical keys; front is the next eviction victim.
     order: VecDeque<u64>,
+    /// `(table_builds, jit_chunks)` of the images evicted so far.
+    evicted_builds: (u64, u64),
 }
 
 /// The bounded LRU image cache. All methods are safe to call concurrently.
@@ -101,6 +115,7 @@ impl ImageCache {
                 entries: HashMap::new(),
                 raw_index: HashMap::new(),
                 order: VecDeque::new(),
+                evicted_builds: (0, 0),
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -157,7 +172,11 @@ impl ImageCache {
                     let Some(victim) = inner.order.pop_front() else {
                         break;
                     };
-                    inner.entries.remove(&victim);
+                    if let Some(evicted) = inner.entries.remove(&victim) {
+                        let (builds, chunks) = build_counts(&evicted);
+                        inner.evicted_builds.0 += builds;
+                        inner.evicted_builds.1 += chunks;
+                    }
                     inner.raw_index.retain(|_, k| *k != victim);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
@@ -170,12 +189,28 @@ impl ImageCache {
 
     /// Snapshot of the monotonic counters plus current residency.
     pub fn stats(&self) -> CacheStats {
+        let inner = self.inner.lock();
+        let (table_builds, jit_chunks) = inner
+            .entries
+            .values()
+            .map(|image| build_counts(image))
+            .fold(inner.evicted_builds, |(b, c), (db, dc)| (b + db, c + dc));
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.inner.lock().entries.len(),
+            entries: inner.entries.len(),
+            table_builds,
+            jit_chunks,
         }
+    }
+}
+
+/// `(table_builds, jit_chunks)` of one cached image.
+fn build_counts(image: &ServedImage) -> (u64, u64) {
+    match &image.code {
+        ServedCode::Parallel(p) => (p.table_builds(), p.jit_chunks()),
+        ServedCode::Sequential(_) => (0, 0),
     }
 }
 
@@ -198,8 +233,7 @@ mod tests {
             key,
             entry: module.function_by_name("main").unwrap(),
             entry_name: "main".to_string(),
-            exec: ExecImage::lower(&module),
-            parallel: None,
+            code: ServedCode::Sequential(ExecImage::lower(&module)),
             plan_selected: false,
             prep: Duration::ZERO,
         })

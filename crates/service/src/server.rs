@@ -26,7 +26,7 @@ use helix_runtime::{
 };
 use parking_lot::{Condvar, Mutex};
 
-use crate::cache::{raw_hash, CacheStats, ImageCache, ServedImage};
+use crate::cache::{raw_hash, CacheStats, ImageCache, ServedCode, ServedImage};
 use crate::protocol::{
     read_frame, write_frame, CacheOutcome, Fault, Op, Request, Response, Status,
 };
@@ -173,6 +173,8 @@ impl Server {
             ("cache_misses", cache.misses),
             ("cache_evictions", cache.evictions),
             ("cache_entries", cache.entries as u64),
+            ("table_builds", cache.table_builds),
+            ("jit_chunks", cache.jit_chunks),
             ("jobs_ok", jobs.ok),
             ("jobs_failed", jobs.failed),
             ("jobs_panicked", jobs.panicked),
@@ -259,8 +261,10 @@ impl Server {
                             key,
                             entry,
                             entry_name: req.entry.clone(),
-                            exec: ExecImage::lower(&module),
-                            parallel: prepared.transformed.as_ref().map(ParallelImage::lower),
+                            code: match &prepared.transformed {
+                                Some(t) => ServedCode::Parallel(Box::new(ParallelImage::lower(t))),
+                                None => ServedCode::Sequential(ExecImage::lower(&module)),
+                            },
                             plan_selected: prepared.plan_selected,
                             prep: start.elapsed(),
                         });
@@ -281,8 +285,8 @@ impl Server {
 
     fn execute(&self, req: &Request, image: &ServedImage) -> Response {
         let start = Instant::now();
-        let mut resp = match &image.parallel {
-            Some(pimg) => {
+        let mut resp = match &image.code {
+            ServedCode::Parallel(pimg) => {
                 let threads = req.threads.unwrap_or(self.config.default_threads).max(1);
                 let budget = req.max_iterations.unwrap_or(self.config.max_iterations);
                 let mut executor = ParallelExecutor::new(threads)
@@ -309,7 +313,7 @@ impl Server {
                     Err(e) => Response::fail(req.id, Status::Error, e.to_string()),
                 }
             }
-            None => {
+            ServedCode::Sequential(exec) => {
                 if let Fault::PanicAt(_) = req.fault {
                     return Response::fail(
                         req.id,
@@ -318,7 +322,7 @@ impl Server {
                          program qualified for parallelization",
                     );
                 }
-                let mut machine = ImageMachine::new(&image.exec);
+                let mut machine = ImageMachine::new(exec);
                 machine.set_fuel(self.config.fuel);
                 match machine.call(image.entry, &req.args) {
                     Ok(value) => {
@@ -334,10 +338,9 @@ impl Server {
             }
         };
         resp.plan = Some(
-            if image.parallel.is_some() {
-                "parallel"
-            } else {
-                "sequential"
+            match image.code {
+                ServedCode::Parallel(_) => "parallel",
+                ServedCode::Sequential(_) => "sequential",
             }
             .to_string(),
         );
@@ -583,31 +586,22 @@ impl SocketQueue {
     }
 }
 
-/// FNV-1a digest of final program memory: heap bounds plus every word's bit pattern
-/// (floats by `to_bits`, so the digest is exact, not approximate).
+/// Digest of final program memory: the heap bounds, then every word up to the last one
+/// that is not the default `Int(0)` (see [`Memory::live_words`]), one whole word per
+/// FNV-1a-style step — the word's bit pattern (floats by `to_bits`, so the digest is exact)
+/// xored in and multiplied, then its Int/Float tag folded into the low bit. Backing
+/// capacity is not observable, so it takes no part: the digest is equal exactly when
+/// [`Memory`]'s `PartialEq` says two memories are (up to hash collisions).
 pub fn memory_digest(memory: &Memory) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut state = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            state ^= u64::from(b);
-            state = state.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&memory.heap_base().to_le_bytes());
-    eat(&(memory.heap_used() as u64).to_le_bytes());
-    for &word in memory.words() {
-        match word {
-            Value::Int(i) => {
-                eat(&[0]);
-                eat(&i.to_le_bytes());
-            }
-            Value::Float(f) => {
-                eat(&[1]);
-                eat(&f.to_bits().to_le_bytes());
-            }
-        }
+    let mut eat = |bits: u64, tag: u64| state = (state ^ bits).wrapping_mul(PRIME) ^ tag;
+    eat(memory.heap_base() as u64, 0);
+    eat(memory.heap_used() as u64, 0);
+    for word in memory.live_words() {
+        eat(word.to_bits(), u64::from(word.is_float()));
     }
-    state
+    state.wrapping_mul(PRIME)
 }
 
 fn format_result(value: Option<Value>) -> String {
@@ -624,5 +618,78 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample() -> Memory {
+        let mut module = helix_ir::Module::new("m");
+        module.add_global_init("g", 4, vec![Value::Int(3), Value::Float(2.5)]);
+        let mut memory = Memory::for_module(&module);
+        let base = memory.alloc(3).unwrap();
+        memory.store(base + 1, Value::Int(-9)).unwrap();
+        memory
+    }
+
+    #[test]
+    fn digest_ignores_backing_capacity() {
+        let memory = sample();
+        let fresh = memory.fresh_copy();
+        assert!(fresh.words().len() < memory.words().len());
+        assert_eq!(memory_digest(&memory), memory_digest(&fresh));
+        let mut grown = fresh.clone();
+        grown.store(200_000, Value::Int(0)).unwrap();
+        assert!(grown.words().len() > memory.words().len());
+        assert_eq!(memory_digest(&grown), memory_digest(&memory));
+    }
+
+    #[test]
+    fn digest_sees_every_word_tag_and_heap_bound() {
+        let memory = sample();
+        let digest = memory_digest(&memory);
+        let with = |f: &dyn Fn(&mut Memory)| {
+            let mut m = memory.clone();
+            f(&mut m);
+            memory_digest(&m)
+        };
+        assert_ne!(with(&|m| m.store(1, Value::Int(4)).unwrap()), digest);
+        // The last live word, and a word past it (the live prefix grows).
+        assert_ne!(with(&|m| m.store(6, Value::Int(-8)).unwrap()), digest);
+        assert_ne!(with(&|m| m.store(9, Value::Int(1)).unwrap()), digest);
+        // Same bits, other tag: 2.5 as an Int, 3 as a Float, the zero word as 0.0.
+        let bits = Value::Float(2.5).to_bits() as i64;
+        assert_ne!(with(&|m| m.store(2, Value::Int(bits)).unwrap()), digest);
+        let three = f64::from_bits(3);
+        assert_ne!(with(&|m| m.store(1, Value::Float(three)).unwrap()), digest);
+        assert_ne!(with(&|m| m.store(3, Value::Float(0.0)).unwrap()), digest);
+        assert_ne!(
+            with(&|m| {
+                m.alloc(1).unwrap();
+            }),
+            digest,
+            "heap_used is part of the digest"
+        );
+    }
+
+    #[test]
+    fn equal_memories_have_equal_digests() {
+        let memory = sample();
+        let mut grown = memory.fresh_copy();
+        grown.store(100_000, Value::Int(0)).unwrap();
+        let mut nan_a = memory.clone();
+        nan_a.store(4, Value::Float(f64::NAN)).unwrap();
+        let mut nan_b = memory.fresh_copy();
+        nan_b.store(4, Value::Float(f64::NAN)).unwrap();
+        for (a, b) in [
+            (&memory, &grown),
+            (&nan_a, &nan_b),
+            (&memory, &memory.fresh_copy()),
+        ] {
+            assert_eq!(a, b);
+            assert_eq!(memory_digest(a), memory_digest(b));
+        }
     }
 }

@@ -129,6 +129,7 @@ fn eviction_under_two_entry_cap_relowers_correctly() {
     let server = test_server(2);
     let first = server.handle(&Request::run(1, &doall(1001)));
     assert_eq!(first.status, Some(Status::Ok), "first: {:?}", first.error);
+    let builds_per_image = server.cache_stats().table_builds;
 
     // Two more distinct programs evict the first (cap is 2, LRU).
     assert_eq!(
@@ -151,8 +152,94 @@ fn eviction_under_two_entry_cap_relowers_correctly() {
         "evicted entry must re-lower"
     );
     assert_eq!(again.status, Some(Status::Ok));
+    // Four images were built; the evicted ones' tables still count.
+    assert_eq!(server.cache_stats().table_builds, 4 * builds_per_image);
     assert_eq!(again.result, first.result);
     assert_eq!(again.memory_hash, first.memory_hash);
+}
+
+/// The 25 named programs: the `corpus/*.hir` files and the SPEC stand-ins as text.
+fn named_programs() -> Vec<(String, String)> {
+    let mut programs: Vec<(String, String)> = helix_workloads::corpus_paths()
+        .into_iter()
+        .map(|path| {
+            let source = std::fs::read_to_string(&path).expect("corpus program is readable");
+            (path.display().to_string(), source)
+        })
+        .collect();
+    for bench in helix_workloads::all_benchmarks() {
+        let (module, _) = bench.build();
+        programs.push((
+            bench.name.to_string(),
+            helix_ir::printer::format_module(&module),
+        ));
+    }
+    programs
+}
+
+#[test]
+fn memory_hash_does_not_depend_on_thread_count() {
+    // The 1-worker run captures plain memory and the 2-worker run a snapshot of striped
+    // memory, each with its own backing capacity; the digest must see neither.
+    let server = test_server(64);
+    for (name, source) in named_programs() {
+        let run = |id, threads| {
+            let mut req = Request::run(id, &source);
+            req.threads = Some(threads);
+            let resp = server.handle(&req);
+            assert_eq!(resp.status, Some(Status::Ok), "{name}: {:?}", resp.error);
+            resp
+        };
+        let one = run(1, 1);
+        let two = run(2, 2);
+        assert_eq!(one.result, two.result, "{name}");
+        assert!(one.memory_hash.is_some(), "{name}");
+        assert_eq!(
+            one.memory_hash, two.memory_hash,
+            "{name}: memory_hash differs between threads=1 and threads=2"
+        );
+    }
+}
+
+/// The value of `key` in an `op=stats` response.
+fn stat(resp: &Response, key: &str) -> u64 {
+    resp.extra
+        .iter()
+        .find(|(k, _)| k == key)
+        .unwrap_or_else(|| panic!("stats response has no {key}"))
+        .1
+        .parse()
+        .expect("numeric stat")
+}
+
+#[test]
+fn cache_hits_build_no_dispatch_tables() {
+    let server = test_server(4);
+    let source = doall(424242);
+    let run = |id| {
+        let resp = server.handle(&Request::run(id, &source));
+        assert_eq!(resp.status, Some(Status::Ok), "{:?}", resp.error);
+        resp
+    };
+    // Warm-up: the miss prepares the image, and its first run builds the tables.
+    let cold = run(1);
+    assert_eq!(cold.cache, CacheOutcome::Miss);
+    let warm = server.handle(&Request::new(Op::Stats, 2));
+    let built = stat(&warm, "table_builds");
+    assert!(built >= 1, "the first run builds its tables");
+    for id in 0..50 {
+        let hit = run(100 + id);
+        assert_eq!(hit.cache, CacheOutcome::Hit);
+        assert_eq!(hit.memory_hash, cold.memory_hash);
+    }
+    let after = server.handle(&Request::new(Op::Stats, 3));
+    assert_eq!(
+        stat(&after, "table_builds"),
+        built,
+        "50 hits must reuse the image's tables"
+    );
+    assert_eq!(stat(&after, "jit_chunks"), stat(&warm, "jit_chunks"));
+    assert_eq!(server.cache_stats().table_builds, built);
 }
 
 #[test]

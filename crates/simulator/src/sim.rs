@@ -331,7 +331,7 @@ pub fn measured_segment_costs(
         .map(|(key, plan)| {
             let transformed = helix_core::transform::apply(module, plan);
             let pimg = helix_runtime::ParallelImage::lower(&transformed);
-            (*key, lowered_segment_costs(&pimg.loop_image, cost))
+            (*key, lowered_segment_costs(pimg.loop_image(), cost))
         })
         .collect()
 }
@@ -541,17 +541,17 @@ mod tests {
             .expect("a synchronized plan");
         let transformed = helix_core::transform::apply(&module, plan);
         let pimg = helix_runtime::ParallelImage::lower(&transformed);
-        let costs = lowered_segment_costs(&pimg.loop_image, &helix_ir::CostModel::default());
+        let costs = lowered_segment_costs(pimg.loop_image(), &helix_ir::CostModel::default());
         assert_eq!(
             costs.len(),
-            pimg.loop_image.num_lanes(),
+            pimg.loop_image().num_lanes(),
             "one cost per signal lane"
         );
         assert!(costs.values().all(|c| *c >= 0.0));
         let lp = profile.loop_profile((plan.func, plan.loop_id));
         let base = simulate_loop(plan, &lp, &SimConfig::helix_6_cores());
         let lowered =
-            simulate_loop_lowered(plan, &lp, &SimConfig::helix_6_cores(), &pimg.loop_image);
+            simulate_loop_lowered(plan, &lp, &SimConfig::helix_6_cores(), pimg.loop_image());
         assert!(lowered.parallel_cycles > 0.0);
         assert!(
             lowered.speedup > 0.1 && lowered.speedup <= 6.0,

@@ -171,3 +171,160 @@ fn oversubscribed_and_dedicated_profiles_agree() {
         .unwrap();
     assert_eq!(dedicated, oversubscribed);
 }
+
+/// The checked-in repros of real-concurrency divergences (`corpus/regressions/concurrency/`),
+/// each with the plan the fuzzing oracle runs: the hottest selected loop of `main`, else its
+/// hottest candidate loop.
+fn concurrency_repros() -> Vec<(String, helix::ir::Module, helix::core::ParallelizedLoop)> {
+    let dir = helix::workloads::regressions_dir().join("concurrency");
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .expect("concurrency repros exist")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "hir"))
+        .collect();
+    paths.sort();
+    assert!(paths.len() >= 2, "expected the two checked-in repros");
+    paths
+        .into_iter()
+        .map(|path| {
+            let name = path.display().to_string();
+            let source = std::fs::read_to_string(&path).expect("readable repro");
+            let module = helix::frontend::parse_and_verify(&source).expect("repro parses");
+            let main = module.function_by_name("main").expect("repro has main");
+            let nesting = LoopNestingGraph::new(&module);
+            let profile = profile_program_image(&module, &nesting, main, &[]).expect("profiles");
+            let output = Helix::new(HelixConfig::default()).analyze(&module, &profile);
+            let hottest = |plans: Vec<&helix::core::ParallelizedLoop>| {
+                plans
+                    .into_iter()
+                    .filter(|p| p.func == main)
+                    .max_by_key(|p| profile.loop_profile((p.func, p.loop_id)).cycles)
+                    .cloned()
+            };
+            let plan = hottest(output.selected_plans())
+                .or_else(|| hottest(output.plans.values().collect()))
+                .expect("repro has a candidate loop");
+            (name, module, plan)
+        })
+        .collect()
+}
+
+#[test]
+fn every_dependence_stays_synchronized_and_every_signal_follows_a_wait() {
+    // Two structural invariants whose violations lost accumulator updates under real
+    // concurrency: Theorem 1 may drop a dependence's own Wait/Signal only by folding it
+    // into a synchronized segment, and a Signal — which tells the next iteration that
+    // every earlier one is done — must be preceded by a Wait of its dependence on every
+    // intra-iteration path.
+    for (name, module, plan) in concurrency_repros() {
+        let synchronized: Vec<_> = plan
+            .segments
+            .iter()
+            .filter(|s| s.synchronized)
+            .flat_map(|s| s.dependences.iter().map(|d| (d.src, d.dst)))
+            .collect();
+        for seg in &plan.segments {
+            for d in &seg.dependences {
+                assert!(
+                    synchronized.contains(&(d.src, d.dst)),
+                    "{name}: dependence {} -> {} lost its synchronization",
+                    d.src,
+                    d.dst
+                );
+            }
+        }
+        let transformed = transform::apply(&module, &plan);
+        let clone = transformed.module.function(transformed.parallel_func);
+        let cfg = helix::analysis::Cfg::new(clone);
+        let in_loop = |b: &helix::ir::BlockId| {
+            plan.prologue_blocks.contains(b) || plan.body_blocks.contains(b)
+        };
+        let blocks: Vec<_> = clone.blocks.iter().map(|b| b.id).filter(in_loop).collect();
+        // Must-availability of "waited on dep d" at block exit, from the header (where an
+        // iteration starts with nothing waited) to a fixpoint.
+        let deps: Vec<_> = plan.segments.iter().map(|s| s.dep).collect();
+        let waited_after = |b: helix::ir::BlockId, mut waited: Vec<bool>| {
+            for instr in &clone.block(b).instrs {
+                if let helix::ir::Instr::Wait { dep } = instr {
+                    waited[deps.iter().position(|d| d == dep).unwrap()] = true;
+                }
+            }
+            waited
+        };
+        let mut out: std::collections::BTreeMap<_, Vec<bool>> = blocks
+            .iter()
+            .map(|b| (*b, vec![true; deps.len()]))
+            .collect();
+        let entry_state = |out: &std::collections::BTreeMap<_, Vec<bool>>, b| {
+            if b == plan.header {
+                return vec![false; deps.len()];
+            }
+            let mut state = vec![true; deps.len()];
+            for p in cfg.preds(b).iter().filter(|p| in_loop(p)) {
+                for (s, o) in state.iter_mut().zip(&out[p]) {
+                    *s &= *o;
+                }
+            }
+            state
+        };
+        loop {
+            let mut changed = false;
+            for &b in &blocks {
+                let next = waited_after(b, entry_state(&out, b));
+                if out[&b] != next {
+                    out.insert(b, next);
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        for &b in &blocks {
+            let mut waited = entry_state(&out, b);
+            for instr in &clone.block(b).instrs {
+                match instr {
+                    helix::ir::Instr::Wait { dep } => {
+                        waited[deps.iter().position(|d| d == dep).unwrap()] = true;
+                    }
+                    helix::ir::Instr::Signal { dep } => assert!(
+                        waited[deps.iter().position(|d| d == dep).unwrap()],
+                        "{name}: {b} signals {dep:?} on a path that never waited for it"
+                    ),
+                    _ => {}
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn concurrency_repros_match_the_sequential_result_on_every_tier() {
+    // The divergences these repros pin were intermittent (a few percent of 4-worker runs),
+    // so each configuration runs many times; the dedicated wait profile keeps the full
+    // multi-worker protocol even on a host with fewer hardware threads.
+    use helix::runtime::DispatchTier;
+    for (name, module, plan) in concurrency_repros() {
+        let main = module.function_by_name("main").unwrap();
+        let expected = Machine::new(&module).call(main, &[]).unwrap();
+        let pimg = ParallelImage::lower(&transform::apply(&module, &plan));
+        for tier in [
+            DispatchTier::Switch,
+            DispatchTier::Threaded,
+            DispatchTier::Jit,
+        ] {
+            for threads in [2, 4] {
+                let executor = ParallelExecutor::new(threads)
+                    .with_wait_profile(WaitProfile::DEDICATED)
+                    .with_dispatch_tier(tier);
+                for run in 0..100 {
+                    let got = executor.run_parallel(&pimg, &[]).unwrap();
+                    assert_eq!(
+                        got, expected,
+                        "{name}: {tier} at {threads} workers, run {run}"
+                    );
+                }
+            }
+        }
+    }
+}
