@@ -7,10 +7,9 @@
 
 use crate::cfg::Cfg;
 use helix_ir::BlockId;
-use serde::{Deserialize, Serialize};
 
 /// A fixed-size bit set.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct BitSet {
     words: Vec<u64>,
     len: usize,

@@ -12,12 +12,11 @@ use crate::cfg::Cfg;
 use crate::dominators::DomTree;
 use crate::loops::{LoopForest, LoopId};
 use helix_ir::{BlockId, FuncId, Module};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Identifies one loop in the program-wide nesting graph.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LoopNodeId(pub u32);
 
 impl LoopNodeId {
@@ -40,7 +39,7 @@ impl fmt::Display for LoopNodeId {
 }
 
 /// One loop of the program, as a node of the nesting graph.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LoopNode {
     /// This node's id.
     pub id: LoopNodeId,

@@ -33,9 +33,8 @@
 //! BENCH_parallel.json value fails the job — the thread-scaling gate),
 //! `--check-telemetry 0.02` (the sampled-telemetry geomean drifting more than 2% above
 //! telemetry-disabled fails the job — the observability overhead gate), and
-//! `--check-tier` (calibration must select the direct-threaded dispatch tier and its
-//! 1-thread geomean must not fall below the switch interpreter's — no silent regression
-//! to the fallback engine; see `docs/dispatch.md`).
+//! `--check-tier` (the 1-thread geomean of the tier the executor resolves to must not fall
+//! below the direct-threaded tier's; see `docs/dispatch.md`).
 
 use helix_analysis::LoopNestingGraph;
 use helix_core::{transform, Helix, HelixConfig, ParallelizedLoop};
@@ -117,8 +116,6 @@ struct ProgramReport {
     telemetry_overhead: f64,
     /// Per-worker occupancy from one sampled traced run at the largest thread count.
     occupancy: Vec<f64>,
-    /// 1-thread wall-clock with the dispatch tier pinned to the switch interpreter.
-    switch_1t_ns: u128,
     /// 1-thread wall-clock with the dispatch tier pinned to direct threading.
     threaded_1t_ns: u128,
     /// 1-thread wall-clock with the dispatch tier pinned to the template JIT (degrades
@@ -297,7 +294,6 @@ fn bench_program(
             name,
         )
     };
-    let switch_1t_ns = time_tier(DispatchTier::Switch).as_nanos();
     let threaded_1t_ns = time_tier(DispatchTier::Threaded).as_nanos();
     let jit_1t_ns = time_tier(DispatchTier::Jit).as_nanos();
 
@@ -340,7 +336,6 @@ fn bench_program(
         telemetry_sampled_ns: telemetry_sampled.as_nanos(),
         telemetry_overhead,
         occupancy,
-        switch_1t_ns,
         threaded_1t_ns,
         jit_1t_ns,
     })
@@ -385,13 +380,14 @@ fn main() {
     let committed_4t = committed_baseline(&json_path);
 
     let calibration = CalibrationProfile::measure();
+    let resolved_tier = ParallelExecutor::new(1).resolved_tier();
     println!(
-        "parallel_runtime: calibrated — alu {:.1}ns switch / {:.1}ns threaded, load {:.1}ns, \
-         signal observe {:.0}ns ({} model cycles; paper: 110), poll {:.1}ns, pool wake {:.0}ns, \
-         {} hardware thread(s)",
-        calibration.alu_ns,
+        "parallel_runtime: calibrated — alu {:.1}ns threaded / {:.1}ns jit, load {:.1}ns \
+         threaded, signal observe {:.0}ns ({} model cycles; paper: 110), poll {:.1}ns, pool \
+         wake {:.0}ns, {} hardware thread(s)",
         calibration.alu_threaded_ns,
-        calibration.load_ns,
+        calibration.alu_jit_ns,
+        calibration.load_threaded_ns,
         calibration.signal_observe_ns,
         calibration
             .helix_config(HelixConfig::i7_980x())
@@ -400,10 +396,7 @@ fn main() {
         calibration.pool_wake_ns,
         calibration.hardware_threads,
     );
-    println!(
-        "parallel_runtime: dispatch tier selected by calibration: {}",
-        calibration.selected_tier()
-    );
+    println!("parallel_runtime: dispatch tier: {resolved_tier}");
     std::fs::write(root.join("BENCH_calibration.txt"), calibration.to_text())
         .expect("write BENCH_calibration.txt");
 
@@ -479,7 +472,7 @@ fn main() {
     );
 
     // Per-tier 1-thread geomeans from the pinned head-to-head runs: the wall-clock answer
-    // to "did direct threading actually beat the switch interpreter on whole programs?".
+    // to "did the JIT actually beat plain threaded dispatch on whole programs?".
     let tier_geomean = |ns_of: &dyn Fn(&ProgramReport) -> u128| -> f64 {
         let logs: Vec<f64> = reports
             .iter()
@@ -491,13 +484,12 @@ fn main() {
             (logs.iter().sum::<f64>() / logs.len() as f64).exp()
         }
     };
-    let geomean_1t_switch = tier_geomean(&|r| r.switch_1t_ns);
     let geomean_1t_threaded = tier_geomean(&|r| r.threaded_1t_ns);
     let geomean_1t_jit = tier_geomean(&|r| r.jit_1t_ns);
     println!(
-        "parallel_runtime: 1-thread geomean over sequential bytecode by tier: switch {:.2}x, \
-         threaded {:.2}x, jit {:.2}x",
-        geomean_1t_switch, geomean_1t_threaded, geomean_1t_jit
+        "parallel_runtime: 1-thread geomean over sequential bytecode by tier: threaded \
+         {:.2}x, jit {:.2}x",
+        geomean_1t_threaded, geomean_1t_jit
     );
 
     // Topology summary: why each requested thread count collapsed (or didn't) on this
@@ -541,13 +533,11 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"calibration\": {{ \"alu_ns\": {:.3}, \"load_ns\": {:.3}, \
+        "  \"calibration\": {{ \
          \"alu_threaded_ns\": {:.3}, \"load_threaded_ns\": {:.3}, \
          \"alu_jit_ns\": {:.3}, \"load_jit_ns\": {:.3}, \
          \"signal_observe_ns\": {:.1}, \"signal_poll_ns\": {:.3}, \"pool_wake_ns\": {:.0}, \
          \"signal_latency_cycles\": {} }},",
-        calibration.alu_ns,
-        calibration.load_ns,
         calibration.alu_threaded_ns,
         calibration.load_threaded_ns,
         calibration.alu_jit_ns,
@@ -559,15 +549,7 @@ fn main() {
             .helix_config(HelixConfig::i7_980x())
             .signal_latency_unprefetched,
     );
-    let _ = writeln!(
-        json,
-        "  \"dispatch_tier\": \"{}\",",
-        calibration.selected_tier()
-    );
-    let _ = writeln!(
-        json,
-        "  \"geomean_speedup_1t_switch\": {geomean_1t_switch:.4},"
-    );
+    let _ = writeln!(json, "  \"dispatch_tier\": \"{resolved_tier}\",");
     let _ = writeln!(
         json,
         "  \"geomean_speedup_1t_threaded\": {geomean_1t_threaded:.4},"
@@ -620,12 +602,6 @@ fn main() {
             let _ = writeln!(json, "      \"effective_workers_{threads}t\": {effective},");
             let _ = writeln!(json, "      \"speedup_{threads}t\": {speedup:.4},");
         }
-        let _ = writeln!(json, "      \"parallel_1t_switch_ns\": {},", r.switch_1t_ns);
-        let _ = writeln!(
-            json,
-            "      \"speedup_1t_switch\": {:.4},",
-            r.sequential_ns as f64 / (r.switch_1t_ns as f64).max(1e-12)
-        );
         let _ = writeln!(
             json,
             "      \"parallel_1t_threaded_ns\": {},",
@@ -768,50 +744,28 @@ fn main() {
         }
     }
     if check_tier {
-        // The tier gate, generalized over all three engines: whichever tier the
-        // calibrator selected from per-op dispatch costs must also post the best
-        // whole-program 1-thread geomean — the wall-clock measurement has to agree with
-        // the microkernel one, or the selection (and everything the cost model prices
-        // from it) is wrong. On this host the selected tier is expected to be the JIT
-        // where it runs, threaded elsewhere; the switch interpreter winning anywhere is
-        // a regression.
-        let tiers = [
-            (DispatchTier::Switch, geomean_1t_switch),
-            (DispatchTier::Threaded, geomean_1t_threaded),
-            (DispatchTier::Jit, geomean_1t_jit),
-        ];
-        let selected = calibration.selected_tier();
-        let selected_geomean = tiers
-            .iter()
-            .find(|(t, _)| *t == selected)
-            .map(|(_, g)| *g)
-            .expect("selected tier is one of the three engines");
-        let mut gate_ok = true;
-        if selected == DispatchTier::Switch {
+        // The tier gate: the tier the executor resolves to (the JIT where it runs,
+        // direct threading elsewhere) must post a 1-thread geomean at least as good as
+        // plain threaded dispatch — native chunks that lose to the handlers they patch
+        // are a regression.
+        let resolved_geomean = match resolved_tier {
+            DispatchTier::Jit => geomean_1t_jit,
+            DispatchTier::Threaded => geomean_1t_threaded,
+        };
+        if resolved_geomean < geomean_1t_threaded {
             eprintln!(
-                "parallel_runtime: FAIL tier gate: calibration selected the switch \
-                 interpreter — both optimized dispatch engines lost on per-op cost"
+                "parallel_runtime: FAIL tier gate: the resolved {resolved_tier} tier's \
+                 1-thread geomean {resolved_geomean:.4}x fell below the threaded tier's \
+                 {geomean_1t_threaded:.4}x",
             );
-            gate_ok = false;
-        }
-        for (tier, geomean) in tiers {
-            if tier != selected && selected_geomean < geomean {
-                eprintln!(
-                    "parallel_runtime: FAIL tier gate: calibration selected {selected} but \
-                     its 1-thread geomean {selected_geomean:.4}x fell below the {tier} \
-                     tier's {geomean:.4}x",
-                );
-                gate_ok = false;
-            }
-        }
-        if gate_ok {
+            failed = true;
+        } else {
             println!(
-                "parallel_runtime: tier gate ok: selected tier {selected} has the best \
-                 1-thread geomean ({selected_geomean:.2}x; switch {geomean_1t_switch:.2}x, \
-                 threaded {geomean_1t_threaded:.2}x, jit {geomean_1t_jit:.2}x)",
+                "parallel_runtime: tier gate ok: resolved tier {resolved_tier} at \
+                 {resolved_geomean:.2}x 1-thread geomean (threaded {geomean_1t_threaded:.2}x, \
+                 jit {geomean_1t_jit:.2}x)",
             );
         }
-        failed |= !gate_ok;
     }
     if let Some(limit) = check_telemetry {
         if telemetry_geomean > limit {

@@ -1,6 +1,6 @@
 //! A minimal JSON emitter.
 //!
-//! The workspace's serde is an offline no-op stub (see `vendor/serde`), so the CLI builds its
+//! The workspace builds offline with no JSON serializer, so the CLI builds its
 //! JSON reports by hand. Only the pieces the reports need: objects, arrays, strings, numbers
 //! and booleans, always with valid escaping and non-finite floats mapped to `null`.
 

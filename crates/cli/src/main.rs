@@ -71,10 +71,10 @@ COMMON OPTIONS:
                        <p> if it exists and write the measured profile there otherwise
     --threads <list>   Worker thread count(s); comma-separated for fuzz (default: 4 for
                        run --parallel and trace, 1,2,4,6 for fuzz)
-    --dispatch-tier <t> (fuzz) Pin the runtime dispatch engine: switch (match-based
-                       interpreter) | threaded (direct-threaded handler streams) | jit
-                       (template JIT over threaded tables, see docs/jit.md) | auto
-                       (calibrated selection, the default; see docs/dispatch.md)
+    --dispatch-tier <t> (fuzz) Pin the runtime dispatch engine: threaded
+                       (direct-threaded handler streams) | jit (template JIT over
+                       threaded tables, the default; runs as threaded where the JIT is
+                       unsupported, see docs/dispatch.md and docs/jit.md)
     --spin-budget <n>  (run --parallel, trace, fuzz) Wait spins before declaring deadlock
     --sample <n>       Telemetry sampling period: 0 disables event recording, 1 records
                        every iteration, n records every n-th (default: 1 for trace,
@@ -247,7 +247,7 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                 let raw = value_of("--dispatch-tier", &mut it)?;
                 let tier = raw.parse().map_err(|_| {
                     CliError::Usage(format!(
-                        "--dispatch-tier expects switch, threaded, jit or auto, got {raw:?}"
+                        "--dispatch-tier expects threaded or jit, got {raw:?}"
                     ))
                 })?;
                 opts.dispatch_tier = Some(tier);
@@ -1197,6 +1197,10 @@ fn calibration_of(opts: &Options) -> Result<helix_runtime::CalibrationProfile, C
 /// runtime images) — and report the selection trace of loops whose decision flipped.
 fn cmd_parallelize_calibrated(opts: &Options, module: &Module) -> Result<(), CliError> {
     let calibration = calibration_of(opts)?;
+    // The tier the default executor runs, and the per-class costs the analysis is priced
+    // with.
+    let tier = helix_runtime::DispatchTier::default().effective();
+    let [alu_ns, mul_ns, div_ns, load_ns, store_ns] = calibration.dispatch_ns(tier);
     let (_nesting, profile, _entry, _image) = profiled(module, opts)?;
     let paper_config = config_of(opts);
     let paper = Helix::new(paper_config).analyze(module, &profile);
@@ -1233,11 +1237,12 @@ fn cmd_parallelize_calibrated(opts: &Options, module: &Module) -> Result<(), Cli
             (
                 "calibration",
                 Json::object([
-                    ("alu_ns", Json::float(calibration.alu_ns)),
-                    ("mul_ns", Json::float(calibration.mul_ns)),
-                    ("div_ns", Json::float(calibration.div_ns)),
-                    ("load_ns", Json::float(calibration.load_ns)),
-                    ("store_ns", Json::float(calibration.store_ns)),
+                    ("dispatch_tier", Json::str(&tier.to_string())),
+                    ("alu_ns", Json::float(alu_ns)),
+                    ("mul_ns", Json::float(mul_ns)),
+                    ("div_ns", Json::float(div_ns)),
+                    ("load_ns", Json::float(load_ns)),
+                    ("store_ns", Json::float(store_ns)),
                     (
                         "signal_observe_ns",
                         Json::float(calibration.signal_observe_ns),
@@ -1282,8 +1287,7 @@ fn cmd_parallelize_calibrated(opts: &Options, module: &Module) -> Result<(), Cli
         println!(
             "calibrated `{}` on {} hardware thread(s): signal {:.0}ns observed cross-thread \
              ({} model cycles; paper assumed {}), {:.0}ns prefetched-poll ({} cycles; paper {}), \
-             pool wake {:.0}ns, dispatch tier {} ({:.1}ns/op alu; jit {:.1} / threaded {:.1} / \
-             switch {:.1})",
+             pool wake {:.0}ns, dispatch tier {} ({:.1}ns/op alu; jit {:.1} / threaded {:.1})",
             module.name,
             calibration.hardware_threads,
             calibration.signal_observe_ns,
@@ -1293,11 +1297,10 @@ fn cmd_parallelize_calibrated(opts: &Options, module: &Module) -> Result<(), Cli
             measured_config.signal_latency_prefetched,
             paper_config.signal_latency_prefetched,
             calibration.pool_wake_ns,
-            calibration.selected_tier(),
-            calibration.dispatch_ns(helix_runtime::DispatchTier::Auto)[0],
+            tier,
+            alu_ns,
             calibration.alu_jit_ns,
             calibration.alu_threaded_ns,
-            calibration.alu_ns,
         );
         println!(
             "selection trace (paper-constant vs measured-cost pricing, {} flip(s)):",
@@ -1616,6 +1619,10 @@ fn cmd_fuzz(opts: &Options) -> Result<(), CliError> {
         }
     }
 
+    // The host the parallel legs ran on: a "parallel" result from a 1-thread host, or
+    // from a tier that ran as another, says so in the summary itself.
+    let hardware_threads = helix_runtime::detect_hardware_threads();
+    let tier = oracle.dispatch_tier.effective();
     if opts.json {
         let diverged = divergences
             .iter()
@@ -1638,12 +1645,15 @@ fn cmd_fuzz(opts: &Options) -> Result<(), CliError> {
             ("divergences", Json::uint(divergences.len() as u64)),
             ("repros", Json::array(diverged)),
             ("injected_fault", Json::bool(inject)),
+            ("hardware_threads", Json::uint(hardware_threads as u64)),
+            ("tier", Json::str(&tier.to_string())),
         ]);
         println!("{}", doc.into_string());
     } else {
         println!(
             "fuzzed {} seeds [{}, {}) with the `{}` generator: {} instructions generated, \
-             {} seeds parallel-eligible, {} parallel runs, {} seeds faulted on both engines",
+             {} seeds parallel-eligible, {} parallel runs, {} seeds faulted on both engines, \
+             hardware_threads={} tier={}",
             opts.seeds,
             opts.seed_start,
             opts.seed_start.saturating_add(opts.seeds),
@@ -1652,6 +1662,8 @@ fn cmd_fuzz(opts: &Options) -> Result<(), CliError> {
             parallel_eligible,
             parallel_runs,
             errored,
+            hardware_threads,
+            tier,
         );
         if divergences.is_empty() {
             println!("no divergences");

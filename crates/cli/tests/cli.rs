@@ -1,7 +1,8 @@
 //! Black-box tests of the `helix` binary: the `serve` daemon smoke test (50 mixed
 //! requests over the stdio batch protocol, one fault-injected panic among them), the
 //! file-IO error paths (missing input, unwritable output — both must name the
-//! offending path) and the dispatch-table counters of `run --parallel --json`.
+//! offending path), the dispatch-table counters of `run --parallel --json` and the host
+//! fields of the `fuzz` summary.
 
 use std::process::{Command, Stdio};
 
@@ -208,15 +209,59 @@ fn parallel_run_json_reports_its_table_builds() {
             .trim_matches('"')
             .to_string()
     };
-    // One run builds one table set for the tier kind it ran on (none on the switch tier).
-    let expected = if field("dispatch_tier") == "switch" {
-        0
-    } else {
-        1
-    };
-    assert_eq!(field("table_builds"), expected.to_string(), "{json}");
+    // One run builds one table set for the tier kind it ran on.
+    assert_eq!(field("table_builds"), "1", "{json}");
     let chunks: u64 = field("jit_chunks").parse().unwrap();
     if field("dispatch_tier") != "jit" {
         assert_eq!(chunks, 0, "{json}");
+    }
+}
+
+#[test]
+fn fuzz_summary_reports_its_host() {
+    for (tier, expected) in [("threaded", "threaded"), ("jit", "")] {
+        let output = Command::new(helix_exe())
+            .args([
+                "fuzz",
+                "--seeds",
+                "2",
+                "--threads",
+                "1,2",
+                "--dispatch-tier",
+                tier,
+            ])
+            .output()
+            .unwrap();
+        assert!(output.status.success(), "{output:?}");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let summary = stdout
+            .lines()
+            .find(|l| l.starts_with("fuzzed 2 seeds"))
+            .unwrap_or_else(|| panic!("no summary line: {stdout}"));
+        let field = |key: &str| -> String {
+            let start = summary
+                .find(&format!("{key}="))
+                .unwrap_or_else(|| panic!("no {key}= in {summary}"))
+                + key.len()
+                + 1;
+            summary[start..]
+                .split_whitespace()
+                .next()
+                .unwrap()
+                .to_string()
+        };
+        let hardware: usize = field("hardware_threads").parse().unwrap();
+        assert!(hardware >= 1, "{summary}");
+        // The resolved tier: a threaded pin stays threaded; the JIT runs as itself only
+        // where it is supported.
+        let resolved = field("tier");
+        if expected.is_empty() {
+            assert!(
+                ["jit", "threaded"].contains(&resolved.as_str()),
+                "{summary}"
+            );
+        } else {
+            assert_eq!(resolved, expected, "{summary}");
+        }
     }
 }

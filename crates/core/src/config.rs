@@ -1,14 +1,12 @@
 //! HELIX transformation configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the HELIX transformation and of the speedup model.
 ///
 /// The defaults correspond to the paper's evaluation platform, an Intel Core i7-980X:
 /// six cores, 110-cycle unprefetched signal latency (a pull through the shared L3), 4-cycle
 /// fully-prefetched signal latency (an L1 hit thanks to the SMT helper thread), and 110 cycles
 /// to transfer one CPU word between cores.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HelixConfig {
     /// Number of cores devoted to a parallelized loop (`N` in the paper).
     pub cores: usize,

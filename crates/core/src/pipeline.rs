@@ -12,11 +12,10 @@ use crate::selection::{DynamicLoopGraph, LoopSelection};
 use helix_analysis::{Cfg, InductionInfo, Liveness, LoopDdg, LoopNestingGraph, PointerAnalysis};
 use helix_ir::{CostModel, Instr, Module, VarId};
 use helix_profiler::{LoopKey, ProgramProfile};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-benchmark statistics in the shape of the paper's Table 1.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LoopStatistics {
     /// Number of loops chosen for parallelization.
     pub parallelized_loops: usize,
@@ -33,7 +32,7 @@ pub struct LoopStatistics {
 }
 
 /// Time breakdown of a benchmark under a given loop selection (the Figure 11 components).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TimeBreakdown {
     /// Fraction of time in parallelizable loop code.
     pub parallel: f64,
@@ -46,7 +45,7 @@ pub struct TimeBreakdown {
 }
 
 /// The result of running the HELIX analysis over a program.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HelixOutput {
     /// One plan per candidate loop that executed during profiling.
     pub plans: BTreeMap<LoopKey, ParallelizedLoop>,
@@ -517,7 +516,7 @@ impl Helix {
 
 /// One loop's row in a [`SelectionTrace`]: how the decision and the saved-time estimate
 /// changed between a baseline pricing and a measured pricing.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SelectionTraceEntry {
     /// The loop.
     pub key: LoopKey,
@@ -542,7 +541,7 @@ impl SelectionTraceEntry {
 /// one with measured ones. Produced by [`Helix::reselect_with_segment_costs`] and by the
 /// calibrated CLI/bench flows; the interesting rows are the *flips*, loops the measured
 /// model decides differently.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SelectionTrace {
     /// One entry per loop considered by either selection.
     pub entries: Vec<SelectionTraceEntry>,

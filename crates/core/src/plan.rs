@@ -2,7 +2,6 @@
 
 use helix_analysis::{DataDependence, LoopId};
 use helix_ir::{BlockId, DepId, FuncId, InstrRef, VarId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One *sequential segment*: the region of a loop iteration that must execute in iteration
@@ -11,7 +10,7 @@ use std::collections::BTreeSet;
 /// A segment is delimited by `Wait(d)` operations placed before every occurrence of the
 /// dependence endpoints and `Signal(d)` operations placed at the earliest points where neither
 /// endpoint can be reached any more in the current iteration (HELIX Step 4).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SequentialSegment {
     /// The synchronization identifier used by `Wait`/`Signal`.
     pub dep: DepId,
@@ -59,7 +58,7 @@ impl SequentialSegment {
 }
 
 /// The complete parallelization plan for one loop.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ParallelizedLoop {
     /// The function containing the loop.
     pub func: FuncId,

@@ -18,10 +18,9 @@
 
 use crate::config::HelixConfig;
 use crate::plan::SequentialSegment;
-use serde::{Deserialize, Serialize};
 
 /// Result of the prefetch-balancing analysis for one loop.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PrefetchSchedule {
     /// Cycles of parallel code preceding each synchronized segment, after balancing.
     pub gaps: Vec<f64>,

@@ -47,10 +47,9 @@ pub struct OracleConfig {
     pub check_signal_placement: bool,
     /// Run the parallel executor stage.
     pub check_parallel: bool,
-    /// Dispatch engine for the parallel stage ([`DispatchTier::Auto`] by default). The
+    /// Dispatch engine for the parallel stage ([`DispatchTier::Jit`] by default). The
     /// sequential reference engines are tier-independent, so sweeping the same seed range
-    /// once per pinned tier is a switch-vs-threaded-vs-jit differential test by
-    /// transitivity.
+    /// once per pinned tier is a threaded-vs-jit differential test by transitivity.
     pub dispatch_tier: DispatchTier,
     /// HELIX configuration used for analysis and the parallel runs.
     pub helix: HelixConfig,
@@ -66,7 +65,7 @@ impl Default for OracleConfig {
             check_profiles: true,
             check_signal_placement: true,
             check_parallel: true,
-            dispatch_tier: DispatchTier::Auto,
+            dispatch_tier: DispatchTier::Jit,
             // A tighter spin budget than production: a genuine lost-signal deadlock should
             // fail the seed in milliseconds, not minutes.
             helix: HelixConfig::i7_980x().with_spin_budget(20_000_000),

@@ -49,15 +49,6 @@ pub struct NullImageObserver;
 
 impl ImageObserver for NullImageObserver {}
 
-/// What happened after executing one basic block via [`ImageEvaluator::exec_block`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum BlockOutcome {
-    /// Control transfers to the block with this dense index.
-    Jump(u32),
-    /// The function returned.
-    Return(Option<Value>),
-}
-
 /// Executes flat bytecode against a [`Context`].
 #[derive(Debug)]
 pub struct ImageEvaluator<'i> {
@@ -123,28 +114,23 @@ impl<'i> ImageEvaluator<'i> {
         C: Context + ?Sized,
         O: ImageObserver + ?Sized,
     {
-        self.exec_function(func, args, ctx, obs, 0)
+        self.exec_function(func, args, ctx, obs)
     }
 
     /// Executes a whole function call with an *explicit* frame stack — guest calls never
     /// recurse on the native stack, so [`MAX_CALL_DEPTH`]-deep guest recursion is safe
-    /// regardless of the host's stack size or build profile. `depth` is the guest call depth
-    /// this invocation starts at (non-zero when invoked from a block-stepping context).
+    /// regardless of the host's stack size or build profile.
     fn exec_function<C, O>(
         &mut self,
         func: FuncId,
         args: &[Value],
         ctx: &mut C,
         obs: &mut O,
-        depth: usize,
     ) -> Result<Option<Value>, ExecError>
     where
         C: Context + ?Sized,
         O: ImageObserver + ?Sized,
     {
-        if depth > MAX_CALL_DEPTH {
-            return Err(ExecError::StackOverflow);
-        }
         let mut func = func;
         let mut f: &FuncImage = &self.image.funcs[func.index()];
         let mut regs = vec![Value::Int(0); f.num_regs.max(args.len())];
@@ -164,7 +150,7 @@ impl<'i> ImageEvaluator<'i> {
                     pc = target_pc as usize;
                 }
                 StepOutcome::Call { callee, args, dst } => {
-                    if depth + frames.len() + 1 > MAX_CALL_DEPTH {
+                    if frames.len() + 1 > MAX_CALL_DEPTH {
                         return Err(ExecError::StackOverflow);
                     }
                     frames.push(CallFrame {
@@ -205,64 +191,11 @@ impl<'i> ImageEvaluator<'i> {
         }
     }
 
-    /// Executes the ops of one block of `func` against `ctx`, mutating `regs`, and reports
-    /// what happened. This is the block-stepping entry point the parallel runtime uses to
-    /// drive prologue/body blocks under its own control-flow policy.
-    ///
-    /// `regs` is grown to the function's register file size if needed. Unlike
-    /// [`ImageEvaluator::call`], no block-entry statistics are recorded for `block` itself
-    /// (the caller decides what a "block entry" means in its execution model); calls made by
-    /// the block's ops do execute fully, with normal accounting.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExecError`] on faults, fuel exhaustion, or malformed control flow.
-    pub fn exec_block<C, O>(
-        &mut self,
-        func: FuncId,
-        block: u32,
-        regs: &mut Vec<Value>,
-        ctx: &mut C,
-        obs: &mut O,
-    ) -> Result<BlockOutcome, ExecError>
-    where
-        C: Context + ?Sized,
-        O: ImageObserver + ?Sized,
-    {
-        let f: &FuncImage = &self.image.funcs[func.index()];
-        if regs.len() < f.num_regs {
-            regs.resize(f.num_regs, Value::Int(0));
-        }
-        let (start, end) = f.block_range[block as usize];
-        let mut pc = start as usize;
-        while pc < end as usize {
-            match self.step(func, f, pc, regs, ctx, obs)? {
-                StepOutcome::Next => pc += 1,
-                StepOutcome::Jump { block, .. } => return Ok(BlockOutcome::Jump(block)),
-                StepOutcome::Return(v) => return Ok(BlockOutcome::Return(v)),
-                StepOutcome::Call { callee, args, dst } => {
-                    let ret = self.exec_function(callee, &args, ctx, obs, 1)?;
-                    if let Some(d) = dst {
-                        regs[d as usize] = ret.unwrap_or_default();
-                    }
-                    let cycles = self.cost_table[CostClass::Call as usize];
-                    self.stats.cycles += cycles;
-                    obs.on_op(func, pc as u32, cycles);
-                    pc += 1;
-                }
-            }
-        }
-        Err(ExecError::MissingTerminator(crate::ids::BlockId::new(
-            block,
-        )))
-    }
-
     /// Executes the single op at `pc`, charging fuel/cycles and reporting events, exactly
     /// mirroring one iteration of the tree-walker's instruction loop.
     ///
-    /// `inline(always)` specializes the dispatch into both hot loops ([`Self::exec_function`]
-    /// and [`Self::exec_block`]); without it the per-op call overhead erases the gain from
-    /// flat dispatch.
+    /// `inline(always)` specializes the dispatch into the hot loop ([`Self::exec_function`]);
+    /// without it the per-op call overhead erases the gain from flat dispatch.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn step<C, O>(
@@ -558,7 +491,6 @@ impl<'i> ImageMachine<'i> {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::ids::BlockId;
     use crate::instr::{BinOp, Operand, Pred};
     use crate::interp::Machine;
     use crate::module::Module;
@@ -687,37 +619,5 @@ mod tests {
         assert_eq!(obs.cycles, m.stats().cycles);
         assert!(obs.calls > 0);
         assert!(obs.returns > obs.calls);
-    }
-
-    #[test]
-    fn exec_block_steps_through_a_function() {
-        // Drive fib's control flow manually through exec_block, mirroring what the parallel
-        // runtime does for loop blocks.
-        let mut module = Module::new("m");
-        let mut b = FunctionBuilder::new("sum3", 1);
-        let n = b.param(0);
-        let exit = b.new_block();
-        let s = b.binary_to_new(BinOp::Mul, Operand::Var(n), Operand::int(3));
-        b.br(exit);
-        b.switch_to(exit);
-        b.ret(Some(Operand::Var(s)));
-        let f = module.add_function(b.finish());
-        let image = ExecImage::lower(&module);
-        let mut ev = ImageEvaluator::new(&image);
-        let mut ctx = SequentialContext::default();
-        let mut regs = vec![Value::Int(14)];
-        let fi = image.func(f);
-        let mut block = fi.entry_block;
-        let result = loop {
-            match ev
-                .exec_block(f, block, &mut regs, &mut ctx, &mut NullImageObserver)
-                .unwrap()
-            {
-                BlockOutcome::Jump(next) => block = next,
-                BlockOutcome::Return(v) => break v,
-            }
-        };
-        assert_eq!(result.unwrap().as_int(), 42);
-        let _ = BlockId::new(0);
     }
 }

@@ -10,11 +10,10 @@
 //! semantics.
 
 use crate::ids::{BlockId, DepId, FuncId, GlobalId, VarId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Binary arithmetic and bitwise operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Integer or float addition.
     Add,
@@ -61,7 +60,7 @@ impl BinOp {
 }
 
 /// Unary operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation.
     Neg,
@@ -79,7 +78,7 @@ impl UnOp {
 }
 
 /// Comparison predicates for [`Instr::Cmp`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Pred {
     /// Equal.
     Eq,
@@ -101,7 +100,7 @@ impl Pred {
 }
 
 /// An instruction operand: a virtual register, an immediate, or the address of a global.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Operand {
     /// Read of a virtual register.
     Var(VarId),
@@ -171,7 +170,7 @@ impl fmt::Display for Operand {
 ///
 /// The last instruction of every basic block must be a terminator (`Br`, `CondBr` or `Ret`);
 /// terminators may not appear anywhere else. [`crate::verify::verify_function`] enforces this.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Instr {
     /// `dst = const`.
     Const {

@@ -7,10 +7,9 @@
 
 use crate::module::Module;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// Error raised on out-of-range memory accesses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemoryError {
     /// The faulting address.
     pub address: i64,
@@ -37,7 +36,7 @@ impl std::error::Error for MemoryError {}
 /// and every address loads the same bit pattern (floats by `to_bits`, so `-0.0 != 0.0` and
 /// equal NaNs agree). Backing capacity is not observable — `load` past the end of the
 /// backing array returns the default word — so it takes no part in the comparison.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Memory {
     words: Vec<Value>,
     heap_base: usize,

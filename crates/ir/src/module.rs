@@ -3,7 +3,6 @@
 use crate::function::Function;
 use crate::ids::{FuncId, GlobalId};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// A statically allocated memory object.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// are also how the HELIX transformation materializes *loop boundary live variables* (Step 7):
 /// values produced in one loop iteration and consumed in another are demoted to loads/stores
 /// on a dedicated global so that parallel threads share them through memory.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Global {
     /// The global's identifier within its module.
     pub id: GlobalId,
@@ -24,7 +23,7 @@ pub struct Global {
 }
 
 /// A whole program: functions plus global memory objects.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Module {
     /// Module name, used only for diagnostics.
     pub name: String,

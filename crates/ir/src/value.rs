@@ -4,12 +4,10 @@
 //! a 64-bit integer (also used for addresses and booleans) or a 64-bit float. This mirrors the
 //! word-oriented view the HELIX paper takes of data transferred between cores (`Bytes_i /
 //! CPU_word` in Equation 1).
-
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dynamically typed 64-bit value.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Value {
     /// A 64-bit signed integer. Addresses and booleans (0/1) are represented as integers.
     Int(i64),

@@ -2,7 +2,6 @@
 
 use helix_analysis::LoopId;
 use helix_ir::{FuncId, InstrRef};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// Identifies one loop program-wide: the function plus the loop id within that function's
@@ -10,7 +9,7 @@ use std::collections::{BTreeSet, HashMap};
 pub type LoopKey = (FuncId, LoopId);
 
 /// Dynamic execution data for one static instruction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InstrProfile {
     /// Number of times the instruction executed.
     pub count: u64,
@@ -20,7 +19,7 @@ pub struct InstrProfile {
 }
 
 /// Profile of one function.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FunctionProfile {
     /// Number of invocations of the function.
     pub invocations: u64,
@@ -49,7 +48,7 @@ impl FunctionProfile {
 
 /// Profile of one loop (inclusive of everything executed while the loop is active, including
 /// callees and nested loops).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoopProfile {
     /// Number of times the loop was entered.
     pub invocations: u64,
@@ -71,7 +70,7 @@ impl LoopProfile {
 }
 
 /// Whole-program profile produced by one training run.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProgramProfile {
     /// Per-function data.
     pub functions: HashMap<FuncId, FunctionProfile>,

@@ -20,10 +20,10 @@
 //! short kernel so fixed call overhead cancels.
 
 use crate::lanes::SignalLanes;
-use crate::parallel_image::{run_flat, LocalTier};
+use crate::parallel_image::LocalTier;
 use crate::pool::WorkerPool;
 use crate::sharded::PrivateArena;
-use crate::threaded::{run_flat_threaded, DispatchTier, FlatTables};
+use crate::threaded::{run_flat_threaded, DispatchTier};
 use helix_core::HelixConfig;
 use helix_ir::builder::{FunctionBuilder, ModuleBuilder};
 use helix_ir::{BinOp, CostModel, ExecImage, FuncId, Operand, Pred, Value};
@@ -42,23 +42,13 @@ enum Kernel {
 
 /// Measured machine constants, in nanoseconds, plus the topology they were measured on.
 ///
-/// All per-op numbers are *lean-engine dispatch costs* — what one executed op of that
-/// class costs end to end in the runtime's interpreter, dominated by dispatch rather than
-/// the ALU work itself. That is the right currency: the speedup model compares segment
-/// cycles against signal latencies, and both must be priced in what *this* runtime pays.
+/// All per-op numbers are *dispatch costs* — what one executed op of that class costs end
+/// to end in the runtime's dispatch engine, dominated by dispatch rather than the ALU work
+/// itself. That is the right currency: the speedup model compares segment cycles against
+/// signal latencies, and both must be priced in what *this* runtime pays.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CalibrationProfile {
-    /// ns per dispatched ALU-class op (add/xor/compare/move) in the switch tier.
-    pub alu_ns: f64,
-    /// ns per dispatched multiply in the switch tier.
-    pub mul_ns: f64,
-    /// ns per dispatched divide/remainder in the switch tier.
-    pub div_ns: f64,
-    /// ns per dispatched load in the switch tier.
-    pub load_ns: f64,
-    /// ns per dispatched store in the switch tier.
-    pub store_ns: f64,
-    /// ns per dispatched ALU-class op in the direct-threaded tier.
+    /// ns per dispatched ALU-class op (add/xor/compare/move) in the direct-threaded tier.
     pub alu_threaded_ns: f64,
     /// ns per dispatched multiply in the direct-threaded tier.
     pub mul_threaded_ns: f64,
@@ -100,11 +90,6 @@ impl CalibrationProfile {
     /// Measures the machine. Takes a few milliseconds; prefer
     /// [`CalibrationProfile::cached`] unless a fresh measurement is explicitly wanted.
     pub fn measure() -> CalibrationProfile {
-        let alu_ns = per_op_ns(Kernel::Alu, DispatchTier::Switch);
-        let mul_ns = per_op_ns(Kernel::Mul, DispatchTier::Switch).max(alu_ns);
-        let div_ns = per_op_ns(Kernel::Div, DispatchTier::Switch).max(alu_ns);
-        let load_ns = per_op_ns(Kernel::Load, DispatchTier::Switch).max(alu_ns);
-        let store_ns = per_op_ns(Kernel::Store, DispatchTier::Switch).max(alu_ns);
         let alu_threaded_ns = per_op_ns(Kernel::Alu, DispatchTier::Threaded);
         let mul_threaded_ns = per_op_ns(Kernel::Mul, DispatchTier::Threaded).max(alu_threaded_ns);
         let div_threaded_ns = per_op_ns(Kernel::Div, DispatchTier::Threaded).max(alu_threaded_ns);
@@ -135,11 +120,6 @@ impl CalibrationProfile {
         let (signal_observe_ns, signal_publish_ns, signal_poll_ns) = signal_latencies();
         let pool_wake_ns = pool_wake();
         CalibrationProfile {
-            alu_ns,
-            mul_ns,
-            div_ns,
-            load_ns,
-            store_ns,
             alu_threaded_ns,
             mul_threaded_ns,
             div_threaded_ns,
@@ -164,17 +144,10 @@ impl CalibrationProfile {
         PROFILE.get_or_init(CalibrationProfile::measure)
     }
 
-    /// Per-class dispatch costs `[alu, mul, div, load, store]` of `tier`, in ns.
-    /// [`DispatchTier::Auto`] resolves through [`CalibrationProfile::selected_tier`].
+    /// Per-class dispatch costs `[alu, mul, div, load, store]` of the engine `tier` runs
+    /// as on this host ([`DispatchTier::effective`]), in ns.
     pub fn dispatch_ns(&self, tier: DispatchTier) -> [f64; 5] {
-        match tier {
-            DispatchTier::Switch => [
-                self.alu_ns,
-                self.mul_ns,
-                self.div_ns,
-                self.load_ns,
-                self.store_ns,
-            ],
+        match tier.effective() {
             DispatchTier::Threaded => [
                 self.alu_threaded_ns,
                 self.mul_threaded_ns,
@@ -189,48 +162,26 @@ impl CalibrationProfile {
                 self.load_jit_ns,
                 self.store_jit_ns,
             ],
-            DispatchTier::Auto => self.dispatch_ns(self.selected_tier()),
         }
     }
 
-    /// The dispatch tier that measured fastest on this machine, by mean per-op dispatch
-    /// cost across the five kernel classes. The JIT tier is considered only where it can
-    /// actually run ([`crate::jit::jit_supported`]) and only on a *strict* win — mirrored
-    /// profiles (v1/v2 files, unsupported hosts) therefore never select it. Remaining
-    /// ties go to the threaded tier (it is the one with the flat-profile branch predictor
-    /// win the microkernels cannot see).
-    pub fn selected_tier(&self) -> DispatchTier {
-        let mean = |c: [f64; 5]| c.iter().sum::<f64>() / 5.0;
-        let threaded = mean(self.dispatch_ns(DispatchTier::Threaded));
-        let switch = mean(self.dispatch_ns(DispatchTier::Switch));
-        if crate::jit::jit_supported()
-            && mean(self.dispatch_ns(DispatchTier::Jit)) < threaded.min(switch)
-        {
-            DispatchTier::Jit
-        } else if threaded <= switch {
-            DispatchTier::Threaded
-        } else {
-            DispatchTier::Switch
-        }
-    }
-
-    /// Nanoseconds per *model cycle*: the measured ALU dispatch of the selected tier
-    /// anchors the currency (an ALU op costs 1 cycle in every [`CostModel`]).
+    /// Nanoseconds per *model cycle*: the measured ALU dispatch of the default tier's
+    /// engine anchors the currency (an ALU op costs 1 cycle in every [`CostModel`]).
     pub fn ns_per_cycle(&self) -> f64 {
-        self.dispatch_ns(DispatchTier::Auto)[0].max(0.05)
+        self.dispatch_ns(DispatchTier::default())[0].max(0.05)
     }
 
     fn cycles(&self, ns: f64) -> u64 {
         (ns / self.ns_per_cycle()).round().max(1.0) as u64
     }
 
-    /// The measured intra-core cost model: per-class dispatch costs of the *selected*
-    /// tier — the one the executor will actually run — converted into model cycles
+    /// The measured intra-core cost model: per-class dispatch costs of the default tier's
+    /// engine — the one the executor will actually run — converted into model cycles
     /// (ALU = 1 by construction). In an interpreter, dispatch dominates, so the classes
     /// are much flatter than silicon's — exactly what segment pricing should use.
     pub fn cost_model(&self) -> CostModel {
         let paper = CostModel::intel_i7_980x();
-        let [_, mul_ns, div_ns, load_ns, store_ns] = self.dispatch_ns(DispatchTier::Auto);
+        let [_, mul_ns, div_ns, load_ns, store_ns] = self.dispatch_ns(DispatchTier::default());
         CostModel {
             alu: 1,
             mul: self.cycles(mul_ns),
@@ -295,26 +246,19 @@ impl CalibrationProfile {
         config
     }
 
-    /// Serializes the profile as the `helix-calibration v3` text format (one `key value`
+    /// Serializes the profile as the `helix-calibration v4` text format (one `key value`
     /// pair per line), the format `helix parallelize --calibration-file` reads and
-    /// writes. v2 extended v1 with the direct-threaded tier's per-class costs
-    /// (`*_threaded_ns`); v3 adds the template-JIT tier's (`*_jit_ns`).
-    /// [`CalibrationProfile::from_text`] still reads v1 and v2 files.
+    /// writes: the direct-threaded tier's per-class costs (`*_threaded_ns`), the
+    /// template-JIT tier's (`*_jit_ns`), the signal and pool costs, and the topology.
     pub fn to_text(&self) -> String {
         format!(
-            "helix-calibration v3\n\
-             alu_ns {}\nmul_ns {}\ndiv_ns {}\nload_ns {}\nstore_ns {}\n\
+            "{CALIBRATION_HEADER}\n\
              alu_threaded_ns {}\nmul_threaded_ns {}\ndiv_threaded_ns {}\n\
              load_threaded_ns {}\nstore_threaded_ns {}\n\
              alu_jit_ns {}\nmul_jit_ns {}\ndiv_jit_ns {}\n\
              load_jit_ns {}\nstore_jit_ns {}\n\
              signal_observe_ns {}\nsignal_publish_ns {}\nsignal_poll_ns {}\n\
              pool_wake_ns {}\nhardware_threads {}\n",
-            self.alu_ns,
-            self.mul_ns,
-            self.div_ns,
-            self.load_ns,
-            self.store_ns,
             self.alu_threaded_ns,
             self.mul_threaded_ns,
             self.div_threaded_ns,
@@ -333,29 +277,26 @@ impl CalibrationProfile {
         )
     }
 
-    /// Parses the `helix-calibration v3` text format, accepting v1 and v2 files too.
-    /// Older files predate the newer tiers, so their most-refined measured costs stand in
-    /// for the missing ones (v1 → threaded and JIT mirror the switch costs; v2 → JIT
-    /// mirrors the threaded costs). A mirrored JIT column never *wins* selection — see
-    /// [`CalibrationProfile::selected_tier`] — so old files keep their old behavior.
+    /// Parses the `helix-calibration v4` text format. Files of earlier versions carry
+    /// costs of a dispatch engine that no longer exists and are rejected: delete them
+    /// and measure again.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed or missing field.
+    /// Returns a description of a stale header or of the first malformed or missing field.
     pub fn from_text(text: &str) -> Result<CalibrationProfile, String> {
         let mut lines = text.lines();
-        let version = match lines.next() {
-            Some("helix-calibration v1") => 1,
-            Some("helix-calibration v2") => 2,
-            Some("helix-calibration v3") => 3,
+        match lines.next() {
+            Some(CALIBRATION_HEADER) => {}
+            Some(old) if old.starts_with("helix-calibration v") => {
+                return Err(format!(
+                    "stale calibration file ({old}); this build reads {CALIBRATION_HEADER} \
+                     only: delete the file and re-measure"
+                ))
+            }
             other => return Err(format!("bad calibration header: {other:?}")),
-        };
+        }
         let mut profile = CalibrationProfile {
-            alu_ns: f64::NAN,
-            mul_ns: f64::NAN,
-            div_ns: f64::NAN,
-            load_ns: f64::NAN,
-            store_ns: f64::NAN,
             alu_threaded_ns: f64::NAN,
             mul_threaded_ns: f64::NAN,
             div_threaded_ns: f64::NAN,
@@ -385,11 +326,6 @@ impl CalibrationProfile {
                     .map_err(|_| format!("bad value for {key}: {v:?}"))
             };
             match key {
-                "alu_ns" => profile.alu_ns = parse(value)?,
-                "mul_ns" => profile.mul_ns = parse(value)?,
-                "div_ns" => profile.div_ns = parse(value)?,
-                "load_ns" => profile.load_ns = parse(value)?,
-                "store_ns" => profile.store_ns = parse(value)?,
                 "alu_threaded_ns" => profile.alu_threaded_ns = parse(value)?,
                 "mul_threaded_ns" => profile.mul_threaded_ns = parse(value)?,
                 "div_threaded_ns" => profile.div_threaded_ns = parse(value)?,
@@ -412,26 +348,7 @@ impl CalibrationProfile {
                 other => return Err(format!("unknown calibration key: {other:?}")),
             }
         }
-        if version < 2 {
-            profile.alu_threaded_ns = profile.alu_ns;
-            profile.mul_threaded_ns = profile.mul_ns;
-            profile.div_threaded_ns = profile.div_ns;
-            profile.load_threaded_ns = profile.load_ns;
-            profile.store_threaded_ns = profile.store_ns;
-        }
-        if version < 3 {
-            profile.alu_jit_ns = profile.alu_threaded_ns;
-            profile.mul_jit_ns = profile.mul_threaded_ns;
-            profile.div_jit_ns = profile.div_threaded_ns;
-            profile.load_jit_ns = profile.load_threaded_ns;
-            profile.store_jit_ns = profile.store_threaded_ns;
-        }
         let fields = [
-            profile.alu_ns,
-            profile.mul_ns,
-            profile.div_ns,
-            profile.load_ns,
-            profile.store_ns,
             profile.alu_threaded_ns,
             profile.mul_threaded_ns,
             profile.div_threaded_ns,
@@ -453,6 +370,9 @@ impl CalibrationProfile {
         Ok(profile)
     }
 }
+
+/// The first line of every calibration file this build reads and writes.
+const CALIBRATION_HEADER: &str = "helix-calibration v4";
 
 /// How many times a calibration kernel's loop body runs per invocation.
 const KERNEL_ITERS: i64 = 128;
@@ -512,14 +432,13 @@ fn kernel_image(kind: Kernel, body_ops: usize) -> (ExecImage, FuncId) {
 }
 
 /// Best-of-`reps` wall time of one full kernel run through one dispatch engine. The
-/// threaded/JIT tiers' handler tables (and compiled chunks) are built outside the timed
-/// region, mirroring how the executor amortizes them across a run.
+/// handler tables (and compiled chunks) are built outside the timed region, mirroring how
+/// the executor amortizes them across a run.
 fn time_kernel(image: &ExecImage, func: FuncId, reps: usize, tier: DispatchTier) -> Duration {
     let fi = &image.funcs[func.index()];
-    // `built` bundles the table with the JIT artifact whose machine code it points into —
-    // it must stay alive for the whole timing loop.
-    let built = crate::jit::build_flat_tables::<LocalTier>(tier, image, func);
-    let tables: Option<&FlatTables<LocalTier>> = built.as_ref().map(|(t, _)| t);
+    // `_native` is the JIT artifact whose machine code the tables point into — it must
+    // stay alive for the whole timing loop.
+    let (tables, _native) = crate::jit::build_flat_tables::<LocalTier>(tier, image, func);
     let mut tier = LocalTier {
         memory: image.initial_memory.fresh_copy(),
         arena: PrivateArena::new(),
@@ -528,27 +447,16 @@ fn time_kernel(image: &ExecImage, func: FuncId, reps: usize, tier: DispatchTier)
     for _ in 0..reps {
         let mut regs = vec![Value::default(); fi.num_regs];
         let start = Instant::now();
-        let result = match tables {
-            Some(t) => run_flat_threaded(
-                image,
-                t,
-                func,
-                fi.entry_block,
-                None,
-                &mut regs,
-                &mut tier,
-                u64::MAX,
-            ),
-            None => run_flat(
-                image,
-                func,
-                fi.entry_block,
-                None,
-                &mut regs,
-                &mut tier,
-                u64::MAX,
-            ),
-        };
+        let result = run_flat_threaded(
+            image,
+            &tables,
+            func,
+            fi.entry_block,
+            None,
+            &mut regs,
+            &mut tier,
+            u64::MAX,
+        );
         let _ = std::hint::black_box(result);
         best = best.min(start.elapsed());
     }
@@ -644,11 +552,6 @@ mod tests {
     fn measured_profile_is_sane_and_round_trips() {
         let p = CalibrationProfile::measure();
         for (name, v) in [
-            ("alu", p.alu_ns),
-            ("mul", p.mul_ns),
-            ("div", p.div_ns),
-            ("load", p.load_ns),
-            ("store", p.store_ns),
             ("alu_threaded", p.alu_threaded_ns),
             ("mul_threaded", p.mul_threaded_ns),
             ("div_threaded", p.div_threaded_ns),
@@ -671,111 +574,66 @@ mod tests {
         assert!(p.signal_observe_ns >= p.signal_publish_ns);
         // Round trip through the text format.
         let text = p.to_text();
-        assert!(text.starts_with("helix-calibration v3\n"));
+        assert!(text.starts_with("helix-calibration v4\n"));
+        assert_eq!(text.lines().count(), 16, "header plus 15 keys");
         let q = CalibrationProfile::from_text(&text).expect("round trip");
         assert_eq!(p, q);
         // Malformed inputs are rejected.
         assert!(CalibrationProfile::from_text("nope").is_err());
-        assert!(CalibrationProfile::from_text("helix-calibration v3\nalu_ns x\n").is_err());
-        assert!(CalibrationProfile::from_text("helix-calibration v3\n").is_err());
+        assert!(CalibrationProfile::from_text("helix-calibration v4\nalu_jit_ns x\n").is_err());
+        assert!(CalibrationProfile::from_text("helix-calibration v4\n").is_err());
+        let unknown = text.replace("alu_threaded_ns", "alu_ns");
+        assert!(CalibrationProfile::from_text(&unknown).is_err());
     }
 
     #[test]
-    fn v1_files_still_parse_with_threaded_costs_mirrored() {
-        let v1 = "helix-calibration v1\n\
-                  alu_ns 10\nmul_ns 11\ndiv_ns 12\nload_ns 13\nstore_ns 14\n\
-                  signal_observe_ns 100\nsignal_publish_ns 5\nsignal_poll_ns 1\n\
-                  pool_wake_ns 1000\nhardware_threads 6\n";
-        let p = CalibrationProfile::from_text(v1).expect("v1 compat");
-        assert_eq!(p.alu_threaded_ns, p.alu_ns);
-        assert_eq!(p.store_threaded_ns, p.store_ns);
-        assert_eq!(p.alu_jit_ns, p.alu_ns);
-        // Equal per-tier costs mean the tie, which goes to the threaded tier (never the
-        // JIT: a mirrored column is not a strict win).
-        assert_eq!(p.selected_tier(), DispatchTier::Threaded);
+    fn pre_v4_calibration_files_are_rejected() {
+        for version in 1..=3 {
+            let stale = format!(
+                "helix-calibration v{version}\n\
+                 alu_ns 10\nmul_ns 11\ndiv_ns 12\nload_ns 13\nstore_ns 14\n\
+                 signal_observe_ns 100\nsignal_publish_ns 5\nsignal_poll_ns 1\n\
+                 pool_wake_ns 1000\nhardware_threads 6\n"
+            );
+            let err = CalibrationProfile::from_text(&stale).expect_err("stale file");
+            assert!(
+                err.contains("delete the file and re-measure"),
+                "v{version}: {err}"
+            );
+        }
     }
 
     #[test]
-    fn v2_files_still_parse_with_jit_costs_mirrored_from_threaded() {
-        let v2 = "helix-calibration v2\n\
-                  alu_ns 10\nmul_ns 11\ndiv_ns 12\nload_ns 13\nstore_ns 14\n\
-                  alu_threaded_ns 4\nmul_threaded_ns 5\ndiv_threaded_ns 6\n\
-                  load_threaded_ns 7\nstore_threaded_ns 8\n\
-                  signal_observe_ns 100\nsignal_publish_ns 5\nsignal_poll_ns 1\n\
-                  pool_wake_ns 1000\nhardware_threads 6\n";
-        let p = CalibrationProfile::from_text(v2).expect("v2 compat");
-        assert_eq!(p.alu_jit_ns, 4.0);
-        assert_eq!(p.store_jit_ns, 8.0);
-        // The mirrored JIT column ties the threaded one, so selection is unchanged.
-        assert_eq!(p.selected_tier(), DispatchTier::Threaded);
-        assert_eq!(p.ns_per_cycle(), 4.0);
-    }
-
-    #[test]
-    fn selected_tier_considers_the_jit_only_on_a_strict_supported_win() {
+    fn cost_currency_follows_the_static_tier_rule() {
         // Read-side of the env lock: the branch below must see a stable
         // `jit_supported()` verdict across its assertions.
         let _env = crate::jit::TEST_ENV_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let mut p = CalibrationProfile::from_text(
-            "helix-calibration v1\n\
-             alu_ns 10\nmul_ns 10\ndiv_ns 10\nload_ns 10\nstore_ns 10\n\
+        let p = CalibrationProfile::from_text(
+            "helix-calibration v4\n\
+             alu_threaded_ns 4\nmul_threaded_ns 4\ndiv_threaded_ns 8\n\
+             load_threaded_ns 4\nstore_threaded_ns 4\n\
+             alu_jit_ns 1\nmul_jit_ns 1\ndiv_jit_ns 1\nload_jit_ns 4\nstore_jit_ns 4\n\
              signal_observe_ns 100\nsignal_publish_ns 5\nsignal_poll_ns 1\n\
              pool_wake_ns 1000\nhardware_threads 6\n",
         )
         .unwrap();
-        p.alu_threaded_ns = 4.0;
-        p.mul_threaded_ns = 4.0;
-        p.div_threaded_ns = 4.0;
-        p.load_threaded_ns = 4.0;
-        p.store_threaded_ns = 4.0;
-        p.alu_jit_ns = 1.0;
-        p.mul_jit_ns = 1.0;
-        p.div_jit_ns = 1.0;
-        p.load_jit_ns = 1.0;
-        p.store_jit_ns = 1.0;
+        // The threaded pin prices threaded dispatch on every host.
+        assert_eq!(
+            p.dispatch_ns(DispatchTier::Threaded),
+            [4.0, 4.0, 8.0, 4.0, 4.0]
+        );
         if crate::jit::jit_supported() {
-            assert_eq!(p.selected_tier(), DispatchTier::Jit);
+            assert_eq!(p.dispatch_ns(DispatchTier::Jit), [1.0, 1.0, 1.0, 4.0, 4.0]);
             assert_eq!(p.ns_per_cycle(), 1.0);
+            assert_eq!(p.cost_model().load, 4);
         } else {
-            // Unsupported host: the JIT column is ignored however fast it claims to be.
-            assert_eq!(p.selected_tier(), DispatchTier::Threaded);
+            // Unsupported host: the JIT runs as threaded, and is priced as such.
+            assert_eq!(p.dispatch_ns(DispatchTier::Jit), [4.0, 4.0, 8.0, 4.0, 4.0]);
             assert_eq!(p.ns_per_cycle(), 4.0);
+            assert_eq!(p.cost_model().div, 2);
         }
-        // A tie with the threaded tier is not a win.
-        p.alu_jit_ns = 4.0;
-        p.mul_jit_ns = 4.0;
-        p.div_jit_ns = 4.0;
-        p.load_jit_ns = 4.0;
-        p.store_jit_ns = 4.0;
-        assert_eq!(p.selected_tier(), DispatchTier::Threaded);
-    }
-
-    #[test]
-    fn selected_tier_prefers_the_measured_faster_engine() {
-        let mut p = CalibrationProfile::from_text(
-            "helix-calibration v1\n\
-             alu_ns 10\nmul_ns 10\ndiv_ns 10\nload_ns 10\nstore_ns 10\n\
-             signal_observe_ns 100\nsignal_publish_ns 5\nsignal_poll_ns 1\n\
-             pool_wake_ns 1000\nhardware_threads 6\n",
-        )
-        .unwrap();
-        p.alu_threaded_ns = 4.0;
-        p.mul_threaded_ns = 4.0;
-        p.div_threaded_ns = 4.0;
-        p.load_threaded_ns = 4.0;
-        p.store_threaded_ns = 4.0;
-        assert_eq!(p.selected_tier(), DispatchTier::Threaded);
-        // The cost currency follows the selected tier.
-        assert_eq!(p.ns_per_cycle(), 4.0);
-        p.alu_threaded_ns = 40.0;
-        p.mul_threaded_ns = 40.0;
-        p.div_threaded_ns = 40.0;
-        p.load_threaded_ns = 40.0;
-        p.store_threaded_ns = 40.0;
-        assert_eq!(p.selected_tier(), DispatchTier::Switch);
-        assert_eq!(p.ns_per_cycle(), 10.0);
     }
 
     #[test]

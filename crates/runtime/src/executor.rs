@@ -30,21 +30,18 @@
 //!   [`PrivateArena`]; the words skipped in shared memory are re-reserved after the loop so
 //!   every shared address stays bitwise-identical to a sequential run.
 
-use crate::calibrate::CalibrationProfile;
 use crate::jit::{CachedTier, Compiled, DispatchCache};
 use crate::lanes::{PaddedCounter, SignalLanes};
 use crate::parallel_image::{
-    run_flat, run_iteration, FlatEnd, FlatError, IterEnd, IterError, IterSync, LocalTier,
-    LoopImage, ParallelImage, SharedTier, Tier,
+    FlatEnd, FlatError, IterEnd, IterError, IterSync, LocalTier, LoopImage, ParallelImage,
+    SharedTier, Tier,
 };
 use crate::pool::{
     detect_hardware_threads, panic_message, AdaptiveWait, Sleepers, WaitProfile, WorkerPool,
 };
 use crate::sharded::{PrivateArena, ShardedMemory};
 use crate::telemetry::{TelemetryMode, TelemetryReport, TelemetryRun, WorkerCtx, WorkerTail};
-use crate::threaded::{
-    run_flat_threaded, run_iteration_threaded, DispatchTier, FlatTables, IterTable,
-};
+use crate::threaded::{run_flat_threaded, run_iteration_threaded, DispatchTier, FlatTables};
 use helix_core::TransformedProgram;
 use helix_ir::interp::ExecError;
 use helix_ir::{DepId, ExecImage, Memory, Value};
@@ -206,8 +203,8 @@ impl<'p> Lowered<'p> {
         }
     }
 
-    /// The tables of tier kind `T` for the resolved `tier`, built on first use.
-    fn tables<T: CachedTier>(&self, tier: DispatchTier) -> Option<&'p Compiled<T>> {
+    /// The tables of tier kind `T` for `tier`, built on first use.
+    fn tables<T: CachedTier>(&self, tier: DispatchTier) -> &'p Compiled<T> {
         self.dispatch.get(tier, self.image, self.loop_image)
     }
 }
@@ -473,7 +470,7 @@ fn phase_b_worker<T: Tier>(
     helper: bool,
     on_first_control: &mut dyn FnMut(),
     telem: Option<WorkerCtx<'_>>,
-    table: Option<&IterTable<T>>,
+    tables: &Compiled<T>,
 ) {
     let sync = IterSync {
         lanes: &shared.lanes,
@@ -579,27 +576,17 @@ fn phase_b_worker<T: Tier>(
             }
         };
         let iter_start = telem.map(|t| t.on_iter_start(i));
-        let outcome = match table {
-            Some(t) => run_iteration_threaded(
-                shared.image,
-                shared.loop_image,
-                t,
-                i,
-                &mut regs,
-                tier,
-                &sync,
-                &mut control_hook,
-            ),
-            None => run_iteration(
-                shared.image,
-                shared.loop_image,
-                i,
-                &mut regs,
-                tier,
-                &sync,
-                &mut control_hook,
-            ),
-        };
+        let outcome = run_iteration_threaded(
+            shared.image,
+            shared.loop_image,
+            &tables.iter,
+            &tables.flat,
+            i,
+            &mut regs,
+            tier,
+            &sync,
+            &mut control_hook,
+        );
         counts.iterations += 1;
         if let (Some(t), Some(t0)) = (telem, iter_start) {
             t.on_iter_finish(i, t0);
@@ -671,7 +658,7 @@ fn phase_b_solo<T: Tier>(
     tier: &mut T,
     on_first_control: &mut dyn FnMut(),
     telem: Option<WorkerCtx<'_>>,
-    table: Option<&IterTable<T>>,
+    tables: &Compiled<T>,
 ) -> Option<u64> {
     let sync = IterSync {
         lanes: &shared.lanes,
@@ -718,27 +705,17 @@ fn phase_b_solo<T: Tier>(
             t.on_claim(iteration);
         }
         let iter_start = telem.map(|t| t.on_iter_start(iteration));
-        let outcome = match table {
-            Some(t) => run_iteration_threaded(
-                shared.image,
-                shared.loop_image,
-                t,
-                iteration,
-                &mut regs,
-                tier,
-                &sync,
-                &mut control_hook,
-            ),
-            None => run_iteration(
-                shared.image,
-                shared.loop_image,
-                iteration,
-                &mut regs,
-                tier,
-                &sync,
-                &mut control_hook,
-            ),
-        };
+        let outcome = run_iteration_threaded(
+            shared.image,
+            shared.loop_image,
+            &tables.iter,
+            &tables.flat,
+            iteration,
+            &mut regs,
+            tier,
+            &sync,
+            &mut control_hook,
+        );
         counts.iterations += 1;
         if let (Some(t), Some(t0)) = (telem, iter_start) {
             t.on_iter_finish(iteration, t0);
@@ -798,8 +775,7 @@ pub struct ParallelExecutor {
     /// back through the `*_traced` entry points.
     pub telemetry: TelemetryMode,
     /// Which dispatch engine runs the bytecode (see [`DispatchTier`]). The default,
-    /// [`DispatchTier::Auto`], asks the process-wide [`CalibrationProfile`] which tier
-    /// measured faster on this machine.
+    /// [`DispatchTier::Jit`], runs as the threaded tier where the JIT is unsupported.
     pub dispatch_tier: DispatchTier,
     /// Hardware thread count, snapshotted once at construction. Every decision derived
     /// from the machine's topology — worker clamping, the clamp diagnostic, the wait
@@ -823,7 +799,7 @@ impl Default for ParallelExecutor {
             spin_budget: DEFAULT_SPIN_BUDGET,
             wait_profile: None,
             telemetry: TelemetryMode::Disabled,
-            dispatch_tier: DispatchTier::Auto,
+            dispatch_tier: DispatchTier::Jit,
             hardware: detect_hardware_threads(),
             panic_at: None,
             capture_memory: false,
@@ -876,8 +852,7 @@ impl ParallelExecutor {
         self
     }
 
-    /// Pins the dispatch engine (see [`DispatchTier`]). [`DispatchTier::Auto`] — the
-    /// default — defers to the calibrator's per-tier dispatch measurements.
+    /// Pins the dispatch engine (see [`DispatchTier`]).
     pub fn with_dispatch_tier(mut self, tier: DispatchTier) -> Self {
         self.dispatch_tier = tier;
         self
@@ -898,14 +873,10 @@ impl ParallelExecutor {
         self
     }
 
-    /// The tier this executor will actually dispatch with: an explicit pin wins, and
-    /// `Auto` resolves through [`CalibrationProfile::selected_tier`] — the measured-cost
-    /// feedback loop (PR 5) applied to the engine choice itself.
+    /// The tier this executor will actually dispatch with: [`DispatchTier::effective`]
+    /// of its [`ParallelExecutor::dispatch_tier`].
     pub fn resolved_tier(&self) -> DispatchTier {
-        match self.dispatch_tier {
-            DispatchTier::Auto => CalibrationProfile::cached().selected_tier(),
-            pinned => pinned,
-        }
+        self.dispatch_tier.effective()
     }
 
     /// Runs the parallel clone of `program` from its entry with `args`, executing the
@@ -1119,35 +1090,22 @@ impl ParallelExecutor {
             image, loop_image, ..
         } = lowered;
         let fi = image.func(loop_image.func);
-        let compiled = lowered.tables::<LocalTier>(self.resolved_tier());
-        let flat_tables = compiled.map(|c| &c.flat);
-        let iter_table = compiled.map(|c| &c.iter);
+        let tables = lowered.tables::<LocalTier>(self.dispatch_tier);
         let mut tier = LocalTier {
             memory: image.initial_memory.fresh_copy(),
             arena: PrivateArena::new(),
         };
         let mut regs = Self::entry_regs(image, loop_image, args);
-        let phase_a = match flat_tables {
-            Some(t) => run_flat_threaded(
-                image,
-                t,
-                loop_image.func,
-                fi.entry_block,
-                Some(loop_image.header),
-                &mut regs,
-                &mut tier,
-                self.max_iterations,
-            )?,
-            None => run_flat(
-                image,
-                loop_image.func,
-                fi.entry_block,
-                Some(loop_image.header),
-                &mut regs,
-                &mut tier,
-                self.max_iterations,
-            )?,
-        };
+        let phase_a = run_flat_threaded(
+            image,
+            &tables.flat,
+            loop_image.func,
+            fi.entry_block,
+            Some(loop_image.header),
+            &mut regs,
+            &mut tier,
+            self.max_iterations,
+        )?;
         match phase_a {
             // The loop was never reached.
             FlatEnd::Returned(v) => {
@@ -1196,27 +1154,17 @@ impl ParallelExecutor {
                 t.on_claim(iteration);
             }
             let iter_start = telem.map(|t| t.on_iter_start(iteration));
-            let outcome = match iter_table {
-                Some(t) => run_iteration_threaded(
-                    image,
-                    loop_image,
-                    t,
-                    iteration,
-                    &mut iter_regs,
-                    &mut tier,
-                    &sync,
-                    &mut || {},
-                ),
-                None => run_iteration(
-                    image,
-                    loop_image,
-                    iteration,
-                    &mut iter_regs,
-                    &mut tier,
-                    &sync,
-                    &mut || {},
-                ),
-            };
+            let outcome = run_iteration_threaded(
+                image,
+                loop_image,
+                &tables.iter,
+                &tables.flat,
+                iteration,
+                &mut iter_regs,
+                &mut tier,
+                &sync,
+                &mut || {},
+            );
             counts.iterations += 1;
             if let (Some(t), Some(t0)) = (telem, iter_start) {
                 t.on_iter_finish(iteration, t0);
@@ -1253,27 +1201,16 @@ impl ParallelExecutor {
                 .alloc(skipped as usize)
                 .map_err(ExecError::from)?;
         }
-        let phase_c = match flat_tables {
-            Some(t) => run_flat_threaded(
-                image,
-                t,
-                loop_image.func,
-                block,
-                None,
-                &mut regs,
-                &mut tier,
-                self.max_iterations,
-            )?,
-            None => run_flat(
-                image,
-                loop_image.func,
-                block,
-                None,
-                &mut regs,
-                &mut tier,
-                self.max_iterations,
-            )?,
-        };
+        let phase_c = run_flat_threaded(
+            image,
+            &tables.flat,
+            loop_image.func,
+            block,
+            None,
+            &mut regs,
+            &mut tier,
+            self.max_iterations,
+        )?;
         match phase_c {
             FlatEnd::Returned(v) => {
                 let memory = self.capture_memory.then_some(tier.memory);
@@ -1314,9 +1251,7 @@ impl ParallelExecutor {
             image, loop_image, ..
         } = lowered;
         let fi = image.func(loop_image.func);
-        let compiled = lowered.tables::<SharedTier>(self.resolved_tier());
-        let flat_tables = compiled.map(|c| &c.flat);
-        let table = compiled.map(|c| &c.iter);
+        let tables = lowered.tables::<SharedTier>(self.dispatch_tier);
         let memory = Arc::new(ShardedMemory::from_memory(&image.initial_memory));
         let mut tier = SharedTier {
             shared: Arc::clone(&memory),
@@ -1325,27 +1260,16 @@ impl ParallelExecutor {
             exclusive: true,
         };
         let mut regs = Self::entry_regs(image, loop_image, args);
-        let phase_a = match flat_tables {
-            Some(t) => run_flat_threaded(
-                image,
-                t,
-                loop_image.func,
-                fi.entry_block,
-                Some(loop_image.header),
-                &mut regs,
-                &mut tier,
-                self.max_iterations,
-            )?,
-            None => run_flat(
-                image,
-                loop_image.func,
-                fi.entry_block,
-                Some(loop_image.header),
-                &mut regs,
-                &mut tier,
-                self.max_iterations,
-            )?,
-        };
+        let phase_a = run_flat_threaded(
+            image,
+            &tables.flat,
+            loop_image.func,
+            fi.entry_block,
+            Some(loop_image.header),
+            &mut regs,
+            &mut tier,
+            self.max_iterations,
+        )?;
         match phase_a {
             // The loop was never reached.
             FlatEnd::Returned(v) => {
@@ -1389,7 +1313,7 @@ impl ParallelExecutor {
                     true,
                     &mut || {},
                     telem.map(|r| r.ctx(worker)),
-                    table,
+                    tables,
                 );
             }));
             if let Err(payload) = run {
@@ -1424,7 +1348,7 @@ impl ParallelExecutor {
             // wait forever on control the primary can no longer release.
             let primary = catch_unwind(AssertUnwindSafe(|| {
                 let solo_ended = if shared.published.0.load(Ordering::Acquire) == 0 {
-                    phase_b_solo(&shared, &mut tier, &mut activate, primary_telem, table).is_none()
+                    phase_b_solo(&shared, &mut tier, &mut activate, primary_telem, tables).is_none()
                 } else {
                     false
                 };
@@ -1437,7 +1361,7 @@ impl ParallelExecutor {
                         false,
                         &mut activate,
                         primary_telem,
-                        table,
+                        tables,
                     );
                 }
             }));
@@ -1471,7 +1395,7 @@ impl ParallelExecutor {
             // owns memory again for Phase C.
             tier.set_exclusive(true);
         }
-        let value = self.finish(shared, &mut tier, flat_tables, |tier, words| {
+        let value = self.finish(shared, &mut tier, &tables.flat, |tier, words| {
             tier.shared.reserve(words).map_err(ExecError::from)
         })?;
         let captured = self
@@ -1486,7 +1410,7 @@ impl ParallelExecutor {
         &self,
         shared: RunShared<'_>,
         tier: &mut T,
-        flat_tables: Option<&FlatTables<T>>,
+        flat_tables: &FlatTables<T>,
         reserve: impl FnOnce(&mut T, usize) -> Result<(), ExecError>,
     ) -> Result<Option<Value>, RuntimeError> {
         let image = shared.image;
@@ -1514,27 +1438,16 @@ impl ParallelExecutor {
         if skipped > 0 {
             reserve(tier, skipped as usize)?;
         }
-        let phase_c = match flat_tables {
-            Some(t) => run_flat_threaded(
-                image,
-                t,
-                loop_image.func,
-                block,
-                None,
-                &mut regs,
-                tier,
-                self.max_iterations,
-            )?,
-            None => run_flat(
-                image,
-                loop_image.func,
-                block,
-                None,
-                &mut regs,
-                tier,
-                self.max_iterations,
-            )?,
-        };
+        let phase_c = run_flat_threaded(
+            image,
+            flat_tables,
+            loop_image.func,
+            block,
+            None,
+            &mut regs,
+            tier,
+            self.max_iterations,
+        )?;
         match phase_c {
             FlatEnd::Returned(v) => Ok(v),
             FlatEnd::ReachedStop => unreachable!("phase C has no stop block"),
@@ -1548,7 +1461,7 @@ mod tests {
     use helix_analysis::LoopNestingGraph;
     use helix_core::{transform, Helix, HelixConfig};
     use helix_ir::builder::{FunctionBuilder, ModuleBuilder};
-    use helix_ir::{BinOp, FuncId, Machine, Operand};
+    use helix_ir::{BinOp, FuncId, ImageMachine, Machine, Operand};
     use helix_profiler::profile_program_image;
 
     /// Builds a module whose main contains one parallelizable accumulator loop over an array,
@@ -1630,55 +1543,128 @@ mod tests {
         }
     }
 
+    /// Transforms the hottest main-level loop of `module`, profiled with `profile_args`.
+    fn transform_hottest(
+        module: &helix_ir::Module,
+        main: FuncId,
+        profile_args: &[Value],
+    ) -> TransformedProgram {
+        let nesting = LoopNestingGraph::new(module);
+        let profile = profile_program_image(module, &nesting, main, profile_args).unwrap();
+        let output = Helix::new(HelixConfig::i7_980x()).analyze(module, &profile);
+        let plan = output
+            .plans
+            .values()
+            .filter(|p| p.func == main)
+            .max_by_key(|p| profile.loop_profile((p.func, p.loop_id)).cycles)
+            .expect("main-level plan");
+        transform::apply(module, plan)
+    }
+
+    /// A loop whose body calls `helper(i, n)`, which stores `i * 7` to `scratch[i]` plus
+    /// `(i / n) << 27` words: out of bounds from iteration `n` on, so with `n` below the
+    /// trip count of 24 the callee faults mid-loop.
+    fn build_faulting_callee() -> (helix_ir::Module, FuncId) {
+        let mut mb = ModuleBuilder::new("callee_fault");
+        let acc = mb.add_global("acc", 1);
+        let scratch = mb.add_global("scratch", 32);
+        let mut hb = FunctionBuilder::new("helper", 2);
+        let (i, n) = (hb.param(0), hb.param(1));
+        let page = hb.binary_to_new(BinOp::Div, Operand::Var(i), Operand::Var(n));
+        let far = hb.binary_to_new(BinOp::Shl, Operand::Var(page), Operand::int(27));
+        let slot = hb.binary_to_new(BinOp::Add, Operand::Global(scratch), Operand::Var(i));
+        let addr = hb.binary_to_new(BinOp::Add, Operand::Var(slot), Operand::Var(far));
+        let v = hb.binary_to_new(BinOp::Mul, Operand::Var(i), Operand::int(7));
+        hb.store(Operand::Var(addr), 0, Operand::Var(v));
+        hb.ret(Some(Operand::Var(v)));
+        let helper = mb.add_function(hb.finish());
+        let mut fb = FunctionBuilder::new("main", 1);
+        let n = fb.param(0);
+        let lh = fb.counted_loop(Operand::int(0), Operand::int(24), 1);
+        let r = fb.new_var();
+        fb.call(
+            Some(r),
+            helper,
+            vec![Operand::Var(lh.induction_var), Operand::Var(n)],
+        );
+        let cur = fb.load_to_new(Operand::Global(acc), 0);
+        let next = fb.binary_to_new(BinOp::Add, Operand::Var(cur), Operand::Var(r));
+        fb.store(Operand::Global(acc), 0, Operand::Var(next));
+        fb.br(lh.latch);
+        fb.switch_to(lh.exit);
+        let out = fb.load_to_new(Operand::Global(acc), 0);
+        fb.ret(Some(Operand::Var(out)));
+        let main = mb.add_function(fb.finish());
+        (mb.finish(), main)
+    }
+
     #[test]
     fn dispatch_tiers_agree_at_every_thread_count() {
-        // The direct-threaded and JIT tiers must be observationally identical to the
-        // switch interpreter: same result, at every worker count, under the pinned
-        // DEDICATED profile that keeps the full claim protocol alive. (On targets
-        // without JIT support the `Jit` leg degrades to threaded — still a valid leg.)
-        let (module, main, transformed) = build_accumulator(96);
-        let mut machine = Machine::new(&module);
-        let expected = machine.call(main, &[]).unwrap().unwrap().as_int();
-        let pimg = ParallelImage::lower(&transformed);
-        for threads in [1, 2, 4, 6] {
-            for tier in [
-                DispatchTier::Switch,
-                DispatchTier::Threaded,
-                DispatchTier::Jit,
-                DispatchTier::Auto,
-            ] {
-                let executor = ParallelExecutor::new(threads)
-                    .with_wait_profile(WaitProfile::DEDICATED)
-                    .with_dispatch_tier(tier);
-                let got = executor
-                    .run_parallel(&pimg, &[])
-                    .unwrap_or_else(|e| panic!("{threads}t/{tier}: {e}"))
-                    .unwrap()
-                    .as_int();
-                assert_eq!(got, expected, "{threads} threads, {tier} tier");
+        // Both tiers must be observationally identical to the sequential `ImageMachine`:
+        // same result or same error, at every worker count, under the pinned DEDICATED
+        // profile that keeps the full claim protocol alive. (On targets without JIT
+        // support the `Jit` leg runs as threaded — still a valid leg.)
+        let (_module, _main, transformed) = build_accumulator(96);
+        let mut cases = vec![("accumulator", transformed, vec![], vec![1, 2, 4, 6])];
+        // Loop bodies whose callee runs on the flat tables: one that returns, one whose
+        // callee faults at iteration 20 (profiled with a bound that never faults).
+        let (module, main) = helix_workloads::corpus::load("nested_helper").expect("corpus");
+        let transformed = transform_hottest(&module, main, &[]);
+        cases.push(("nested_helper", transformed, vec![], vec![1, 2, 4]));
+        let (module, main) = build_faulting_callee();
+        let transformed = transform_hottest(&module, main, &[Value::Int(32)]);
+        cases.push((
+            "callee_fault",
+            transformed,
+            vec![Value::Int(20)],
+            vec![1, 2, 4],
+        ));
+        for (name, transformed, args, thread_counts) in cases {
+            let image = ExecImage::lower(&transformed.module);
+            let expected = ImageMachine::new(&image)
+                .call(transformed.parallel_func, &args)
+                .map_err(RuntimeError::Exec);
+            assert_eq!(
+                expected.is_err(),
+                name == "callee_fault",
+                "{name}: {expected:?}"
+            );
+            let pimg = ParallelImage::lower(&transformed);
+            let calls = pimg
+                .loop_image()
+                .pcode
+                .iter()
+                .any(|p| matches!(p, crate::parallel_image::POp::CallB(_)));
+            assert_eq!(calls, name != "accumulator", "{name}: loop-body calls");
+            for threads in thread_counts {
+                for tier in [DispatchTier::Threaded, DispatchTier::Jit] {
+                    let executor = ParallelExecutor::new(threads)
+                        .with_wait_profile(WaitProfile::DEDICATED)
+                        .with_dispatch_tier(tier);
+                    let got = executor.run_parallel(&pimg, &args);
+                    assert_eq!(got, expected, "{name}: {threads} threads, {tier} tier");
+                }
             }
         }
     }
 
     #[test]
-    fn auto_tier_resolves_through_the_calibrator() {
-        // Read-side of the env lock: the comparison below calls `selected_tier()` twice
-        // and must not see `HELIX_DISABLE_JIT` flip in between.
+    fn default_tier_resolves_by_the_static_rule() {
+        // Read-side of the env lock: `jit_supported()` must not flip between the calls.
         let _env = crate::jit::TEST_ENV_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let executor = ParallelExecutor::new(2);
-        assert_eq!(executor.dispatch_tier, DispatchTier::Auto);
-        let resolved = executor.resolved_tier();
-        assert_ne!(
-            resolved,
-            DispatchTier::Auto,
-            "Auto must resolve to an engine"
-        );
-        assert_eq!(resolved, CalibrationProfile::cached().selected_tier());
-        // Pins win over calibration.
-        let pinned = executor.with_dispatch_tier(DispatchTier::Switch);
-        assert_eq!(pinned.resolved_tier(), DispatchTier::Switch);
+        assert_eq!(executor.dispatch_tier, DispatchTier::Jit);
+        let expected = if crate::jit::jit_supported() {
+            DispatchTier::Jit
+        } else {
+            DispatchTier::Threaded
+        };
+        assert_eq!(executor.resolved_tier(), expected);
+        // The threaded pin always runs as itself.
+        let pinned = executor.with_dispatch_tier(DispatchTier::Threaded);
+        assert_eq!(pinned.resolved_tier(), DispatchTier::Threaded);
     }
 
     #[test]
@@ -1881,11 +1867,7 @@ mod tests {
             // Fault injection fires at claim time, ahead of dispatch, so every tier —
             // including JIT-patched tables, where the panic unwinds across only
             // interpreter frames, never native ones — must surface and recover alike.
-            for tier in [
-                DispatchTier::Switch,
-                DispatchTier::Threaded,
-                DispatchTier::Jit,
-            ] {
+            for tier in [DispatchTier::Threaded, DispatchTier::Jit] {
                 let executor = ParallelExecutor::new(threads)
                     .with_wait_profile(WaitProfile::DEDICATED)
                     .with_dispatch_tier(tier);
@@ -1915,9 +1897,9 @@ mod tests {
 
     #[test]
     fn jit_tier_degrades_to_threaded_when_disabled() {
-        // `HELIX_DISABLE_JIT=1` must turn both a pinned `Jit` tier and an `Auto`
-        // resolution into plain threaded execution — correct results, no panic. The env
-        // flag is read on every `jit_supported()` call, so flipping it mid-process works.
+        // `HELIX_DISABLE_JIT=1` must turn the `Jit` tier into plain threaded execution —
+        // correct results, no panic. The env flag is read on every `jit_supported()`
+        // call, so flipping it mid-process works.
         let (module, main, transformed) = build_accumulator(48);
         let mut machine = Machine::new(&module);
         let expected = machine.call(main, &[]).unwrap().unwrap().as_int();
@@ -1927,18 +1909,16 @@ mod tests {
             .unwrap_or_else(|e| e.into_inner());
         std::env::set_var("HELIX_DISABLE_JIT", "1");
         assert!(!crate::jit::jit_supported());
-        for tier in [DispatchTier::Jit, DispatchTier::Auto] {
-            let executor = ParallelExecutor::new(2)
-                .with_wait_profile(WaitProfile::DEDICATED)
-                .with_dispatch_tier(tier);
-            assert_ne!(executor.resolved_tier(), DispatchTier::Auto);
-            let got = executor
-                .run_parallel(&pimg, &[])
-                .unwrap_or_else(|e| panic!("{tier} with JIT disabled: {e}"))
-                .unwrap()
-                .as_int();
-            assert_eq!(got, expected, "{tier} with JIT disabled");
-        }
+        let executor = ParallelExecutor::new(2)
+            .with_wait_profile(WaitProfile::DEDICATED)
+            .with_dispatch_tier(DispatchTier::Jit);
+        assert_eq!(executor.resolved_tier(), DispatchTier::Threaded);
+        let got = executor
+            .run_parallel(&pimg, &[])
+            .unwrap_or_else(|e| panic!("JIT disabled: {e}"))
+            .unwrap()
+            .as_int();
+        assert_eq!(got, expected, "JIT disabled");
         std::env::remove_var("HELIX_DISABLE_JIT");
     }
 
@@ -1993,9 +1973,7 @@ mod tests {
         run_from_four_threads(&pimg, 2, DispatchTier::Jit, expected);
         assert_eq!(pimg.table_builds(), 2, "repeated runs build nothing");
         assert_eq!(pimg.jit_chunks(), 2 * chunks);
-        // The switch tier needs no tables; the threaded tier gets its own slots.
-        run_from_four_threads(&pimg, 2, DispatchTier::Switch, expected);
-        assert_eq!(pimg.table_builds(), 2);
+        // The threaded tier gets its own slots.
         run_from_four_threads(&pimg, 2, DispatchTier::Threaded, expected);
         assert_eq!(pimg.table_builds(), 3);
         assert_eq!(

@@ -31,7 +31,7 @@
 //! superinstruction chains). Memory, allocation, call, select, sync and control ops keep
 //! their threaded handlers; they bound chunks rather than being emulated. Correctness
 //! never depends on *what* is covered — only dispatch cost does — and the differential
-//! fuzz oracle holds all three tiers to bitwise-identical results.
+//! fuzz oracle holds both tiers to bitwise-identical results.
 //!
 //! ## Degrading cleanly
 //!
@@ -204,8 +204,8 @@ fn self_test(lay: ValueLayout) -> bool {
 
 /// Whether the JIT tier can actually emit and run native code here. `HELIX_DISABLE_JIT=1`
 /// is consulted on every call (so a process can flip it); the target gate and the
-/// probe/self-test verdict are cached. When this is `false`, `DispatchTier::Jit` (and an
-/// `Auto` resolution to it) degrades to the threaded tier — never a panic.
+/// probe/self-test verdict are cached. When this is `false`, `DispatchTier::Jit` runs as
+/// the threaded tier (see `DispatchTier::effective`) — never a panic.
 pub fn jit_supported() -> bool {
     if !cfg!(all(target_os = "linux", target_arch = "x86_64")) {
         return false;
@@ -329,26 +329,22 @@ fn compile_flat<T: Tier>(
 }
 
 /// Builds the flat-engine tables of the functions reachable from `root` (calibration
-/// kernels) for a resolved tier: `None` for the switch tier (no table at all), plain
-/// threaded tables for `Threaded` (and for `Jit` when unsupported or nothing compiled),
-/// or chunk-patched tables plus their [`JitArtifact`].
+/// kernels) for `tier`: plain threaded tables for `Threaded` (and for `Jit` when it runs
+/// as threaded or nothing compiled), or chunk-patched tables plus their [`JitArtifact`].
 pub(crate) fn build_flat_tables<T: Tier>(
     tier: DispatchTier,
     image: &ExecImage,
     root: FuncId,
-) -> Option<(FlatTables<T>, Option<JitArtifact<T>>)> {
-    if tier == DispatchTier::Switch {
-        return None;
-    }
+) -> (FlatTables<T>, Option<JitArtifact<T>>) {
     let mut tables = FlatTables::build(image, root);
     let mut parts = Vec::new();
-    if tier == DispatchTier::Jit && jit_supported() {
+    if tier.effective() == DispatchTier::Jit {
         if let Some(lay) = layout() {
             compile_flat(&mut tables, image, lay, &mut parts);
         }
     }
     let artifact = (!parts.is_empty()).then_some(JitArtifact { parts });
-    Some((tables, artifact))
+    (tables, artifact)
 }
 
 /// The dispatch tables of one image for one tier kind — the flat tables (phase A/C and
@@ -425,28 +421,23 @@ pub(crate) struct DispatchCache {
 }
 
 impl DispatchCache {
-    /// The tables `tier` (already resolved, never `Auto`) dispatches `image`/`loop_image`
-    /// with, built on first use; `None` for the switch tier, which needs none. Concurrent
-    /// first callers block on one build.
+    /// The tables `tier` dispatches `image`/`loop_image` with, built on first use.
+    /// Concurrent first callers block on one build.
     pub(crate) fn get<T: CachedTier>(
         &self,
         tier: DispatchTier,
         image: &ExecImage,
         loop_image: &LoopImage,
-    ) -> Option<&Compiled<T>> {
-        let jit = match tier {
-            DispatchTier::Switch => return None,
-            DispatchTier::Jit => jit_supported(),
-            DispatchTier::Threaded | DispatchTier::Auto => false,
-        };
+    ) -> &Compiled<T> {
+        let jit = tier.effective() == DispatchTier::Jit;
         let slots = if jit { &self.jit } else { &self.threaded };
-        Some(T::slot(slots).get_or_init(|| {
+        T::slot(slots).get_or_init(|| {
             let compiled = Compiled::build(jit, image, loop_image);
             self.table_builds.fetch_add(1, Ordering::Relaxed);
             self.jit_chunks
                 .fetch_add(compiled.native.chunks() as u64, Ordering::Relaxed);
             compiled
-        }))
+        })
     }
 
     /// Table sets built so far (one per effective tier and tier kind that ran).

@@ -15,8 +15,9 @@
 //!
 //! * [`parallel_image`] — a [`helix_core::TransformedProgram`] lowers **once** into a
 //!   [`ParallelImage`]: per-iteration flat bytecode with pre-resolved signal-lane indices,
-//!   sentinel back-edge/exit targets and privatized allocation sites, dispatched by a lean
-//!   engine with no fuel/statistics/cost accounting;
+//!   sentinel back-edge/exit targets and privatized allocation sites, dispatched by the
+//!   direct-threaded tier ([`threaded`]) or the template JIT over its tables ([`jit`]),
+//!   with no fuel/statistics/cost accounting;
 //! * [`lanes`] — cache-line-padded, windowed [`SignalLanes`] replace the dense counter
 //!   array whose adjacent dependences false-shared cache lines (the paper's ring-cache
 //!   communication, in software);

@@ -1,12 +1,6 @@
 //! The [`ParallelImage`]: a [`TransformedProgram`] lowered once into an execution-ready form
-//! the parallel runtime dispatches directly.
-//!
-//! The first-generation executor block-stepped the generic [`helix_ir::ImageEvaluator`]
-//! through the loop, re-deriving everything per block per iteration: set-membership tests
-//! ("is this block still in the loop?", "did we just leave the prologue?") on `BTreeSet`s,
-//! sync-point resolution through a modulo over a dense counter array, plus the engine's own
-//! fuel/statistics/cost accounting on every op. [`LoopImage::build`] does all of that
-//! *once*, at lowering time:
+//! the parallel runtime dispatches directly. [`LoopImage::build`] resolves everything the
+//! per-iteration dispatch would otherwise re-derive:
 //!
 //! * the loop's blocks (prologue + body) are re-laid-out into one contiguous op stream
 //!   ([`LoopImage::code`]) with internal branch targets pre-resolved to program counters;
@@ -23,18 +17,18 @@
 //! * `Alloc` sites the privatization analysis proved iteration-private become
 //!   [`Op::PrivateAlloc`], served from the per-worker [`crate::sharded::PrivateArena`].
 //!
-//! The same module hosts the *lean engine*: a minimal interpreter over the lowered ops with
-//! no fuel, no statistics, no observers and no cycle charging — the production dispatch loop
-//! of the runtime, as opposed to the instrumented engine used for profiling. Its semantics
-//! (value evaluation, memory faults, call depth, missing terminators) are identical to
-//! [`helix_ir::ImageEvaluator`]; only the accounting is gone.
+//! The same module hosts the memory [`Tier`]s the dispatch engines run against and the
+//! verdict types of their runs. The engines themselves are the direct-threaded tier
+//! ([`crate::threaded`]) and the template JIT that patches its tables ([`crate::jit`]).
+//! Their semantics (value evaluation, memory faults, call depth, missing terminators) are
+//! identical to [`helix_ir::ImageEvaluator`]; only the accounting is gone.
 
 use crate::jit::DispatchCache;
 use crate::lanes::SignalLanes;
 use crate::pool::{AdaptiveWait, Sleepers, WaitProfile};
 use crate::sharded::{PrivateArena, ShardedMemory, PRIVATE_BASE};
 use helix_core::TransformedProgram;
-use helix_ir::interp::{eval_binop, eval_pred, eval_unop, ExecError, MAX_CALL_DEPTH};
+use helix_ir::interp::{eval_binop, eval_pred, eval_unop, ExecError};
 use helix_ir::lower::{cost_table, CostClass};
 use helix_ir::{
     BinOp, BlockId, CostModel, DepId, ExecImage, FuncId, InstrRef, Memory, Op, Opnd, Value,
@@ -1592,7 +1586,7 @@ pub(crate) fn specialize_op(op: &Op, private_ok: bool) -> POp {
 }
 
 // ---------------------------------------------------------------------------
-// The lean engine.
+// Memory tiers and run verdicts shared by the dispatch engines.
 // ---------------------------------------------------------------------------
 
 /// A worker's memory stack: the shared tier plus its private arena.
@@ -1759,15 +1753,8 @@ pub(crate) fn eval(regs: &[Value], o: Opnd) -> Value {
     }
 }
 
-/// One suspended guest frame of [`run_flat`]'s explicit call stack.
-struct LeanFrame {
-    func: usize,
-    pc: usize,
-    regs: Vec<Value>,
-    dst: Option<u32>,
-}
-
-/// How a [`run_flat`] execution ended.
+/// How a flat run ([`crate::threaded::run_flat_threaded`]: Phase A, Phase C or a callee)
+/// ended.
 pub(crate) enum FlatEnd {
     /// Control reached `stop_block` at the top level (Phase A arriving at the loop header).
     ReachedStop,
@@ -1775,7 +1762,7 @@ pub(crate) enum FlatEnd {
     Returned(Option<Value>),
 }
 
-/// Errors of the lean engine's sequential paths.
+/// Errors of the flat runs.
 pub(crate) enum FlatError {
     Exec(ExecError),
     /// The top-level block-transition budget ran out (a runaway loop outside the
@@ -1787,205 +1774,6 @@ impl From<ExecError> for FlatError {
     fn from(e: ExecError) -> Self {
         FlatError::Exec(e)
     }
-}
-
-/// Runs whole-function bytecode leanly: Phase A (with `stop_block` = the loop header),
-/// Phase C and callee invocations all go through here. `Wait`/`Signal` are no-ops (outside
-/// iteration code they are either Phase-bound sync the sequential engine also ignores, or
-/// generator noise), matching the sequential engine's treatment.
-///
-/// `budget` bounds top-level block transitions (the caller's runaway-loop guard); callee
-/// blocks are unmetered, like the instrumented executor's phase stepping.
-pub(crate) fn run_flat<T: Tier>(
-    image: &ExecImage,
-    func: FuncId,
-    start_block: u32,
-    stop_block: Option<u32>,
-    regs: &mut Vec<Value>,
-    tier: &mut T,
-    budget: u64,
-) -> Result<FlatEnd, FlatError> {
-    let mut f = &image.funcs[func.index()];
-    if regs.len() < f.num_regs {
-        regs.resize(f.num_regs, Value::default());
-    }
-    if stop_block == Some(start_block) {
-        return Ok(FlatEnd::ReachedStop);
-    }
-    let mut func_ix = func.index();
-    let mut frames: Vec<LeanFrame> = Vec::new();
-    let mut pc = f.block_start(start_block) as usize;
-    let mut top_blocks = 0u64;
-    let mut local_regs = std::mem::take(regs);
-    let result = 'run: loop {
-        let op = &f.code[pc];
-        match op {
-            Op::Mov { dst, src } => {
-                local_regs[*dst as usize] = eval(&local_regs, *src);
-                pc += 1;
-            }
-            Op::Un { dst, op, src } => {
-                local_regs[*dst as usize] = eval_unop(*op, eval(&local_regs, *src));
-                pc += 1;
-            }
-            Op::Bin { dst, op, lhs, rhs } => {
-                local_regs[*dst as usize] =
-                    eval_binop(*op, eval(&local_regs, *lhs), eval(&local_regs, *rhs));
-                pc += 1;
-            }
-            Op::Cmp {
-                dst,
-                pred,
-                lhs,
-                rhs,
-            } => {
-                local_regs[*dst as usize] = Value::from_bool(eval_pred(
-                    *pred,
-                    eval(&local_regs, *lhs),
-                    eval(&local_regs, *rhs),
-                ));
-                pc += 1;
-            }
-            Op::Select {
-                dst,
-                cond,
-                on_true,
-                on_false,
-            } => {
-                let v = if eval(&local_regs, *cond).as_bool() {
-                    eval(&local_regs, *on_true)
-                } else {
-                    eval(&local_regs, *on_false)
-                };
-                local_regs[*dst as usize] = v;
-                pc += 1;
-            }
-            Op::Load { dst, addr, offset } => {
-                let base = eval(&local_regs, *addr).as_int();
-                match tier.load(base + offset) {
-                    Ok(v) => local_regs[*dst as usize] = v,
-                    Err(e) => break 'run Err(FlatError::Exec(e)),
-                }
-                pc += 1;
-            }
-            Op::Store {
-                addr,
-                offset,
-                value,
-            } => {
-                let base = eval(&local_regs, *addr).as_int();
-                let v = eval(&local_regs, *value);
-                if let Err(e) = tier.store(base + offset, v) {
-                    break 'run Err(FlatError::Exec(e));
-                }
-                pc += 1;
-            }
-            Op::Alloc { dst, words } => {
-                let n = eval(&local_regs, *words).as_int().max(0) as usize;
-                match tier.alloc(n) {
-                    Ok(base) => local_regs[*dst as usize] = Value::Int(base),
-                    Err(e) => break 'run Err(FlatError::Exec(e)),
-                }
-                pc += 1;
-            }
-            Op::PrivateAlloc { dst, words } => {
-                let n = eval(&local_regs, *words).as_int().max(0) as usize;
-                match tier.alloc_private(n) {
-                    Ok(base) => local_regs[*dst as usize] = Value::Int(base),
-                    Err(e) => break 'run Err(FlatError::Exec(e)),
-                }
-                pc += 1;
-            }
-            Op::Wait { .. } | Op::Signal { .. } => pc += 1,
-            Op::Call {
-                dst,
-                func: callee,
-                args,
-            } => {
-                if frames.len() + 1 > MAX_CALL_DEPTH {
-                    break 'run Err(FlatError::Exec(ExecError::StackOverflow));
-                }
-                let callee_ix = *callee as usize;
-                let cf = &image.funcs[callee_ix];
-                let mut callee_regs = vec![Value::default(); cf.num_regs.max(args.len())];
-                for (slot, a) in callee_regs.iter_mut().zip(args.iter()).take(cf.num_params) {
-                    *slot = eval(&local_regs, *a);
-                }
-                frames.push(LeanFrame {
-                    func: func_ix,
-                    pc,
-                    regs: std::mem::replace(&mut local_regs, callee_regs),
-                    dst: *dst,
-                });
-                func_ix = callee_ix;
-                f = &image.funcs[func_ix];
-                pc = f.entry_pc() as usize;
-            }
-            Op::Jump { pc: target, block } => {
-                if frames.is_empty() {
-                    if stop_block == Some(*block) {
-                        break 'run Ok(FlatEnd::ReachedStop);
-                    }
-                    top_blocks += 1;
-                    if top_blocks > budget {
-                        break 'run Err(FlatError::BudgetExceeded);
-                    }
-                }
-                pc = *target as usize;
-            }
-            Op::Branch {
-                cond,
-                then_pc,
-                then_block,
-                else_pc,
-                else_block,
-            } => {
-                let (target, block) = if eval(&local_regs, *cond).as_bool() {
-                    (*then_pc, *then_block)
-                } else {
-                    (*else_pc, *else_block)
-                };
-                if frames.is_empty() {
-                    if stop_block == Some(block) {
-                        break 'run Ok(FlatEnd::ReachedStop);
-                    }
-                    top_blocks += 1;
-                    if top_blocks > budget {
-                        break 'run Err(FlatError::BudgetExceeded);
-                    }
-                }
-                pc = target as usize;
-            }
-            Op::Ret { value } => {
-                let v = value.map(|v| eval(&local_regs, v));
-                match frames.pop() {
-                    None => break 'run Ok(FlatEnd::Returned(v)),
-                    Some(frame) => {
-                        func_ix = frame.func;
-                        f = &image.funcs[func_ix];
-                        local_regs = frame.regs;
-                        pc = frame.pc;
-                        if let Some(d) = frame.dst {
-                            local_regs[d as usize] = v.unwrap_or_default();
-                        }
-                        pc += 1;
-                    }
-                }
-            }
-            Op::Trap { block } => {
-                break 'run Err(FlatError::Exec(ExecError::MissingTerminator(BlockId::new(
-                    *block,
-                ))));
-            }
-        }
-    };
-    // Hand the (possibly callee-stale) top-level register file back to the caller: unwind to
-    // the bottom frame if the run ended inside a callee.
-    if let Some(bottom) = frames.into_iter().next() {
-        local_regs = bottom.regs;
-    }
-    *regs = local_regs;
-    result
 }
 
 /// How one iteration ended.
@@ -2034,8 +1822,8 @@ pub(crate) struct IterSync<'a> {
     /// Backoff shape of this run's wait sites.
     pub profile: WaitProfile,
     /// This worker's telemetry handle, `None` when telemetry is disabled. Compiled out
-    /// entirely without the `telemetry` feature (`run_iteration` then binds a statically
-    /// `None` local, folding every recording branch away).
+    /// entirely without the `telemetry` feature (the iteration runner then binds a
+    /// statically `None` local, folding every recording branch away).
     #[cfg(feature = "telemetry")]
     pub telem: Option<crate::telemetry::WorkerCtx<'a>>,
 }
@@ -2091,531 +1879,6 @@ pub(crate) fn wait_blocking(
             let observed = sync.lanes.observed(lane_ix, iteration);
             return end(WaitOutcome::Deadlocked { observed }, &backoff);
         }
-    }
-}
-
-/// Executes one iteration of the lowered loop. `regs` must already hold the loop-entry
-/// snapshot with induction variables privatized for `iteration`; `on_control` is invoked
-/// when the iteration's prologue completes (at most once per iteration from inside the code;
-/// the caller must also release control when the iteration completes without entering the
-/// body).
-pub(crate) fn run_iteration<T: Tier>(
-    image: &ExecImage,
-    loop_image: &LoopImage,
-    iteration: u64,
-    regs: &mut [Value],
-    tier: &mut T,
-    sync: &IterSync<'_>,
-    on_control: &mut dyn FnMut(),
-) -> Result<IterEnd, IterError> {
-    let code = &loop_image.pcode[..];
-    let mut pc = loop_image.entry_pc as usize;
-    // This worker's telemetry handle. Without the `telemetry` feature the local is a
-    // statically-known `None` and every recording branch below folds away.
-    #[cfg(feature = "telemetry")]
-    let telem = sync.telem;
-    #[cfg(not(feature = "telemetry"))]
-    let telem: Option<crate::telemetry::WorkerCtx<'_>> = None;
-    // Reads are unchecked (see `eval`); writes go through `set`, also unchecked: every dst
-    // register index was widened into the function's register file at lowering time.
-    #[inline(always)]
-    fn get(regs: &[Value], r: u32) -> Value {
-        debug_assert!((r as usize) < regs.len());
-        unsafe { *regs.get_unchecked(r as usize) }
-    }
-    #[inline(always)]
-    fn set(regs: &mut [Value], r: u32, v: Value) {
-        debug_assert!((r as usize) < regs.len());
-        unsafe {
-            *regs.get_unchecked_mut(r as usize) = v;
-        }
-    }
-    loop {
-        match &code[pc] {
-            POp::MovR { dst, src } => {
-                set(regs, *dst, get(regs, *src));
-                pc += 1;
-            }
-            POp::MovI { dst, v } => {
-                set(regs, *dst, *v);
-                pc += 1;
-            }
-            POp::UnR { dst, op, src } => {
-                set(regs, *dst, eval_unop(*op, get(regs, *src)));
-                pc += 1;
-            }
-            POp::BinRR { dst, op, lhs, rhs } => {
-                set(
-                    regs,
-                    *dst,
-                    eval_binop(*op, get(regs, *lhs), get(regs, *rhs)),
-                );
-                pc += 1;
-            }
-            POp::BinRI { dst, op, lhs, rhs } => {
-                set(regs, *dst, eval_binop(*op, get(regs, *lhs), *rhs));
-                pc += 1;
-            }
-            POp::BinIR { dst, op, lhs, rhs } => {
-                set(regs, *dst, eval_binop(*op, *lhs, get(regs, *rhs)));
-                pc += 1;
-            }
-            POp::CmpRR {
-                dst,
-                pred,
-                lhs,
-                rhs,
-            } => {
-                set(
-                    regs,
-                    *dst,
-                    Value::from_bool(eval_pred(*pred, get(regs, *lhs), get(regs, *rhs))),
-                );
-                pc += 1;
-            }
-            POp::CmpRI {
-                dst,
-                pred,
-                lhs,
-                rhs,
-            } => {
-                set(
-                    regs,
-                    *dst,
-                    Value::from_bool(eval_pred(*pred, get(regs, *lhs), *rhs)),
-                );
-                pc += 1;
-            }
-            POp::CmpIR {
-                dst,
-                pred,
-                lhs,
-                rhs,
-            } => {
-                set(
-                    regs,
-                    *dst,
-                    Value::from_bool(eval_pred(*pred, *lhs, get(regs, *rhs))),
-                );
-                pc += 1;
-            }
-            POp::SelectB(data) => {
-                let v = if eval(regs, data.cond).as_bool() {
-                    eval(regs, data.on_true)
-                } else {
-                    eval(regs, data.on_false)
-                };
-                set(regs, data.dst, v);
-                pc += 1;
-            }
-            POp::LoadR {
-                dst,
-                addr,
-                offset,
-                private_ok,
-            } => {
-                let base = get(regs, *addr).as_int();
-                let a = base + offset;
-                let v = if *private_ok {
-                    tier.load_private(a)?
-                } else {
-                    tier.load(a)?
-                };
-                set(regs, *dst, v);
-                pc += 1;
-            }
-            POp::LoadA { dst, addr } => {
-                set(regs, *dst, tier.load(*addr)?);
-                pc += 1;
-            }
-            POp::StoreRR {
-                addr,
-                offset,
-                value,
-                private_ok,
-            } => {
-                let base = get(regs, *addr).as_int();
-                let a = base + offset;
-                let v = get(regs, *value);
-                if *private_ok {
-                    tier.store_private(a, v)?;
-                } else {
-                    tier.store(a, v)?;
-                }
-                pc += 1;
-            }
-            POp::StoreRI {
-                addr,
-                offset,
-                value,
-                private_ok,
-            } => {
-                let base = get(regs, *addr).as_int();
-                let a = base + offset;
-                if *private_ok {
-                    tier.store_private(a, *value)?;
-                } else {
-                    tier.store(a, *value)?;
-                }
-                pc += 1;
-            }
-            POp::StoreAR { addr, value } => {
-                tier.store(*addr, get(regs, *value))?;
-                pc += 1;
-            }
-            POp::StoreAI { addr, value } => {
-                tier.store(*addr, *value)?;
-                pc += 1;
-            }
-            POp::AllocR { dst, words } => {
-                let n = get(regs, *words).as_int().max(0) as usize;
-                set(regs, *dst, Value::Int(tier.alloc(n)?));
-                pc += 1;
-            }
-            POp::AllocI { dst, words } => {
-                let n = (*words).max(0) as usize;
-                set(regs, *dst, Value::Int(tier.alloc(n)?));
-                pc += 1;
-            }
-            POp::PrivateAllocR { dst, words } => {
-                let n = get(regs, *words).as_int().max(0) as usize;
-                set(regs, *dst, Value::Int(tier.alloc_private(n)?));
-                pc += 1;
-            }
-            POp::PrivateAllocI { dst, words } => {
-                let n = (*words).max(0) as usize;
-                set(regs, *dst, Value::Int(tier.alloc_private(n)?));
-                pc += 1;
-            }
-            POp::Wait { lane } => {
-                let lane_ix = *lane as usize;
-                if !sync.lanes.poll(lane_ix, iteration) {
-                    match wait_blocking(sync, telem, lane_ix, iteration, pc as u32) {
-                        WaitOutcome::Passed => {}
-                        WaitOutcome::Cancelled => return Ok(IterEnd::Cancelled),
-                        WaitOutcome::Deadlocked { observed } => {
-                            return Err(IterError::Deadlock {
-                                lane: *lane,
-                                pc: pc as u32,
-                                observed,
-                            });
-                        }
-                    }
-                } else if let Some(t) = telem {
-                    t.on_wait_fast(iteration, pc as u32);
-                }
-                pc += 1;
-            }
-            POp::SignalLane { lane } => {
-                sync.lanes.signal(*lane as usize, iteration);
-                sync.sleepers.wake_all();
-                if let Some(t) = telem {
-                    t.on_signal(iteration, pc as u32);
-                }
-                pc += 1;
-            }
-            POp::SignalControl => {
-                on_control();
-                pc += 1;
-            }
-            POp::CallB(call) => {
-                let actuals: Vec<Value> = call.args.iter().map(|a| eval(regs, *a)).collect();
-                let mut callee_regs: Vec<Value> = Vec::new();
-                prepare_callee_regs(image, call.func, &actuals, &mut callee_regs);
-                let end = run_flat(
-                    image,
-                    FuncId::new(call.func),
-                    image.funcs[call.func as usize].entry_block,
-                    None,
-                    &mut callee_regs,
-                    tier,
-                    u64::MAX,
-                )
-                .map_err(|e| match e {
-                    FlatError::Exec(e) => IterError::Exec(e),
-                    FlatError::BudgetExceeded => unreachable!("callees are unmetered"),
-                })?;
-                let v = match end {
-                    FlatEnd::Returned(v) => v,
-                    FlatEnd::ReachedStop => unreachable!("no stop block in callee runs"),
-                };
-                if let Some(d) = call.dst {
-                    set(regs, d, v.unwrap_or_default());
-                }
-                pc += 1;
-            }
-            POp::Jump { pc: target } => pc = *target as usize,
-            POp::EndIter => return Ok(IterEnd::Completed),
-            POp::ExitJump { block } => return Ok(IterEnd::Exit { block: *block }),
-            POp::Branch {
-                cond,
-                then_pc,
-                then_block,
-                else_pc,
-                else_block,
-            } => {
-                let (target, block) = if get(regs, *cond).as_bool() {
-                    (*then_pc, *then_block)
-                } else {
-                    (*else_pc, *else_block)
-                };
-                match target {
-                    PC_END_ITER => return Ok(IterEnd::Completed),
-                    PC_EXIT => return Ok(IterEnd::Exit { block }),
-                    t => pc = t as usize,
-                }
-            }
-            POp::RetR { src } => return Ok(IterEnd::Returned(Some(get(regs, *src)))),
-            POp::RetI { v } => return Ok(IterEnd::Returned(*v)),
-            POp::Trap { block } => {
-                return Err(IterError::Exec(ExecError::MissingTerminator(BlockId::new(
-                    *block,
-                ))));
-            }
-            POp::BinChainII {
-                lhs,
-                op1,
-                i1,
-                d1,
-                op2,
-                i2,
-                d2,
-            } => {
-                let a = eval_binop(*op1, get(regs, *lhs), *i1);
-                set(regs, *d1, a);
-                set(regs, *d2, eval_binop(*op2, a, *i2));
-                pc += 2;
-            }
-            POp::BinChain3II {
-                lhs,
-                op1,
-                i1,
-                d1,
-                op2,
-                i2,
-                d2,
-                op3,
-                i3,
-                d3,
-            } => {
-                let a = eval_binop(*op1, get(regs, *lhs), Value::Int(*i1));
-                set(regs, *d1, a);
-                let b = eval_binop(*op2, a, Value::Int(*i2));
-                set(regs, *d2, b);
-                set(regs, *d3, eval_binop(*op3, b, Value::Int(*i3)));
-                pc += 3;
-            }
-            POp::BinChain3FF {
-                lhs,
-                op1,
-                f1,
-                d1,
-                op2,
-                f2,
-                d2,
-                op3,
-                f3,
-                d3,
-            } => {
-                let a = eval_binop(*op1, get(regs, *lhs), Value::Float(*f1));
-                set(regs, *d1, a);
-                let b = eval_binop(*op2, a, Value::Float(*f2));
-                set(regs, *d2, b);
-                set(regs, *d3, eval_binop(*op3, b, Value::Float(*f3)));
-                pc += 3;
-            }
-            POp::BinChainRI {
-                lhs,
-                rhs,
-                op1,
-                d1,
-                op2,
-                i2,
-                d2,
-            } => {
-                let a = eval_binop(*op1, get(regs, *lhs), get(regs, *rhs));
-                set(regs, *d1, a);
-                set(regs, *d2, eval_binop(*op2, a, *i2));
-                pc += 2;
-            }
-            POp::LoadABin {
-                laddr,
-                ld,
-                op,
-                other,
-                ld_on_lhs,
-                dst,
-            } => {
-                let l = tier.load(*laddr)?;
-                set(regs, *ld, l);
-                let o = get(regs, *other);
-                let v = if *ld_on_lhs {
-                    eval_binop(*op, l, o)
-                } else {
-                    eval_binop(*op, o, l)
-                };
-                set(regs, *dst, v);
-                pc += 2;
-            }
-            POp::BinStoreA {
-                op,
-                lhs,
-                rhs,
-                dst,
-                saddr,
-            } => {
-                let v = eval_binop(*op, get(regs, *lhs), get(regs, *rhs));
-                set(regs, *dst, v);
-                tier.store(*saddr, v)?;
-                pc += 2;
-            }
-            POp::StoreIdx {
-                base,
-                idx,
-                dst,
-                offset,
-                value,
-            } => {
-                // Mirror the unfused BinIR+StoreRR pair exactly: the add goes through
-                // eval_binop (a float index register must produce the same float-typed
-                // dst and float-rounded address the sequential engine would).
-                let v = eval_binop(BinOp::Add, Value::Int(*base), get(regs, *idx));
-                set(regs, *dst, v);
-                tier.store(v.as_int() + offset, get(regs, *value))?;
-                pc += 2;
-            }
-            POp::RmwA {
-                laddr,
-                ld,
-                op,
-                other,
-                ld_on_lhs,
-                dst,
-                saddr,
-            } => {
-                let l = tier.load(*laddr)?;
-                set(regs, *ld, l);
-                let o = get(regs, *other);
-                let v = if *ld_on_lhs {
-                    eval_binop(*op, l, o)
-                } else {
-                    eval_binop(*op, o, l)
-                };
-                set(regs, *dst, v);
-                tier.store(*saddr, v)?;
-                pc += 3;
-            }
-            POp::RmwR {
-                addr,
-                offset,
-                ld,
-                op,
-                other,
-                ld_on_lhs,
-                dst,
-                private_ok,
-            } => {
-                // The address register is provably unmodified by the window (fusion
-                // guards `ld != addr && dst != addr`), so computing the address once is
-                // bitwise what the unfused load/store pair would do.
-                let base = get(regs, *addr).as_int();
-                let a = base + offset;
-                let l = if *private_ok {
-                    tier.load_private(a)?
-                } else {
-                    tier.load(a)?
-                };
-                set(regs, *ld, l);
-                let o = get(regs, *other);
-                let v = if *ld_on_lhs {
-                    eval_binop(*op, l, o)
-                } else {
-                    eval_binop(*op, o, l)
-                };
-                set(regs, *dst, v);
-                if *private_ok {
-                    tier.store_private(a, v)?;
-                } else {
-                    tier.store(a, v)?;
-                }
-                pc += 3;
-            }
-            POp::SignalMulti { lanes, width } => {
-                for lane in lanes.iter() {
-                    sync.lanes.signal(*lane as usize, iteration);
-                }
-                sync.sleepers.wake_all();
-                if let Some(t) = telem {
-                    // The fused window covers the constituent logical signal pcs.
-                    for k in pc..pc + *width as usize {
-                        if t.lane_of(k as u32) != crate::telemetry::NO_LANE {
-                            t.on_signal(iteration, k as u32);
-                        }
-                    }
-                }
-                pc += *width as usize;
-            }
-            POp::CmpBrRI {
-                dst,
-                pred,
-                lhs,
-                imm,
-                then_pc,
-                then_block,
-                else_pc,
-                else_block,
-            } => {
-                let taken = eval_pred(*pred, get(regs, *lhs), *imm);
-                set(regs, *dst, Value::from_bool(taken));
-                let (target, block) = if taken {
-                    (*then_pc, *then_block)
-                } else {
-                    (*else_pc, *else_block)
-                };
-                match target {
-                    PC_END_ITER => return Ok(IterEnd::Completed),
-                    PC_EXIT => return Ok(IterEnd::Exit { block }),
-                    t => pc = t as usize,
-                }
-            }
-            POp::CmpBrRR {
-                dst,
-                pred,
-                lhs,
-                rhs,
-                then_pc,
-                then_block,
-                else_pc,
-                else_block,
-            } => {
-                let taken = eval_pred(*pred, get(regs, *lhs), get(regs, *rhs));
-                set(regs, *dst, Value::from_bool(taken));
-                let (target, block) = if taken {
-                    (*then_pc, *then_block)
-                } else {
-                    (*else_pc, *else_block)
-                };
-                match target {
-                    PC_END_ITER => return Ok(IterEnd::Completed),
-                    PC_EXIT => return Ok(IterEnd::Exit { block }),
-                    t => pc = t as usize,
-                }
-            }
-        }
-    }
-}
-
-/// Sizes and seeds a callee register file inside `storage` for [`run_flat`].
-pub(crate) fn prepare_callee_regs(
-    image: &ExecImage,
-    callee: u32,
-    args: &[Value],
-    storage: &mut Vec<Value>,
-) {
-    let cf = &image.funcs[callee as usize];
-    storage.resize(cf.num_regs.max(args.len()), Value::default());
-    for (slot, a) in storage.iter_mut().zip(args.iter()).take(cf.num_params) {
-        *slot = *a;
     }
 }
 

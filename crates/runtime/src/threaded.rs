@@ -3,7 +3,7 @@
 //! specialized [`POp`] shape (fused superinstructions included), dispatched by a loop that
 //! is a single indirect call per op.
 //!
-//! Why this beats the match-based engine in [`crate::parallel_image`]:
+//! Why this beats a match-based interpreter over the same stream:
 //!
 //! * **operand decode happens at lowering time** — a handler reads flat `u32`/`i64`/[`Value`]
 //!   fields out of its own [`TOp`] instead of matching an enum and chasing `Box`es;
@@ -18,13 +18,13 @@
 //! tail-call threading; the measured win comes from the pre-decoded operands and the
 //! monomorphized straight-line handler bodies (see `docs/dispatch.md`).
 //!
-//! The switch interpreter remains both the fallback tier and the differential reference:
-//! every handler body here is a transliteration of the corresponding `run_iteration` /
-//! `run_flat` arm, and the fuzz oracle runs the two tiers against each other.
+//! Every tier runs on these tables: `Threaded` as decoded, `Jit` with straight-line data
+//! runs patched to native chunks ([`crate::jit`]). The differential reference is the
+//! sequential [`helix_ir::ImageMachine`], not another runtime engine.
 
 use crate::parallel_image::{
-    eval, prepare_callee_regs, run_flat, specialize_op, wait_blocking, FlatEnd, FlatError, IterEnd,
-    IterError, IterSync, LoopImage, POp, Tier, WaitOutcome, PC_END_ITER, PC_EXIT,
+    eval, specialize_op, wait_blocking, FlatEnd, FlatError, IterEnd, IterError, IterSync,
+    LoopImage, POp, Tier, WaitOutcome, PC_END_ITER, PC_EXIT,
 };
 use crate::telemetry::{WorkerCtx, NO_LANE};
 use helix_ir::interp::{eval_binop, eval_pred, eval_unop, ExecError, MAX_CALL_DEPTH};
@@ -33,25 +33,32 @@ use helix_ir::{BinOp, BlockId, ExecImage, FuncId, Op, Opnd, Pred, UnOp, Value};
 /// Which dispatch engine runs the lowered bytecode.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DispatchTier {
-    /// Pick automatically: the threaded tier unless calibration shows it losing on this
-    /// host (see `CalibrationProfile::selected_tier`).
-    #[default]
-    Auto,
-    /// The match-based interpreter in [`crate::parallel_image`] — the reference tier.
-    Switch,
-    /// The direct-threaded tier in this module.
+    /// The direct-threaded tier in this module: the only engine on hosts without the
+    /// JIT, and a pin that lets tests and fuzzing exercise it on hosts with one.
     Threaded,
     /// The template JIT in [`crate::jit`]: threaded dispatch whose straight-line data
-    /// runs are compiled to native x86-64 chunks. Degrades to [`DispatchTier::Threaded`]
-    /// on unsupported targets or under `HELIX_DISABLE_JIT=1`.
+    /// runs are compiled to native x86-64 chunks. Runs as [`DispatchTier::Threaded`]
+    /// on unsupported targets or under `HELIX_DISABLE_JIT=1` (see
+    /// [`DispatchTier::effective`]).
+    #[default]
     Jit,
+}
+
+impl DispatchTier {
+    /// The engine this tier actually runs on this host, now: `Jit` where
+    /// [`crate::jit::jit_supported`] holds, `Threaded` everywhere else. The one place the
+    /// tier rule lives; nothing is measured to apply it.
+    pub fn effective(self) -> DispatchTier {
+        match self {
+            DispatchTier::Jit if crate::jit::jit_supported() => DispatchTier::Jit,
+            _ => DispatchTier::Threaded,
+        }
+    }
 }
 
 impl std::fmt::Display for DispatchTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            DispatchTier::Auto => "auto",
-            DispatchTier::Switch => "switch",
             DispatchTier::Threaded => "threaded",
             DispatchTier::Jit => "jit",
         })
@@ -63,12 +70,10 @@ impl std::str::FromStr for DispatchTier {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "auto" => Ok(DispatchTier::Auto),
-            "switch" => Ok(DispatchTier::Switch),
             "threaded" => Ok(DispatchTier::Threaded),
             "jit" => Ok(DispatchTier::Jit),
             other => Err(format!(
-                "unknown dispatch tier `{other}` (expected auto|switch|threaded|jit)"
+                "unknown dispatch tier `{other}` (expected threaded|jit)"
             )),
         }
     }
@@ -154,6 +159,9 @@ enum FlatHalt {
 /// `&mut TCtx` it also receives.
 pub(crate) struct TCtx<'r, T: Tier> {
     image: &'r ExecImage,
+    /// The whole-function tables of the same build: iteration-mode calls run their callee
+    /// on them.
+    flat: &'r FlatTables<T>,
     /// The specialized iteration stream (for the rare boxed ops a `TOp` cannot carry:
     /// `SelectB`, `CallB`, `SignalMulti`). Empty in flat mode.
     pcode: &'r [POp],
@@ -177,9 +185,9 @@ pub(crate) struct TCtx<'r, T: Tier> {
     end_flat: Option<FlatHalt>,
 }
 
-// Reads are unchecked exactly like the switch engine's `eval`/`get`: lowering widens the
-// register file to cover every referenced index and every caller sizes `regs` to
-// `num_regs`, so the indices are in range by construction.
+// Reads are unchecked like `eval`'s: lowering widens the register file to cover every
+// referenced index and every caller sizes `regs` to `num_regs`, so the indices are in range
+// by construction.
 #[inline(always)]
 fn get(regs: &[Value], r: u32) -> Value {
     debug_assert!((r as usize) < regs.len());
@@ -349,8 +357,8 @@ fn dispatch<'c, T: Tier>(
 
 // ---------------------------------------------------------------------------
 // Mode-shared data handlers. Field mapping is noted as `a=.. b=..` per handler and must
-// match `decode_data` exactly. Each body is a transliteration of the corresponding
-// switch-engine arm.
+// match `decode_data` exactly. Each body has the semantics of the corresponding
+// `helix_ir::ImageEvaluator` op.
 // ---------------------------------------------------------------------------
 
 /// `a=dst b=src`
@@ -626,13 +634,14 @@ fn h_trap<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize) -> usize {
     DONE
 }
 
-/// Flat-mode `Wait`/`Signal`: no-ops, like `run_flat`'s treatment.
+/// Flat-mode `Wait`/`Signal`: no-ops. Outside iteration code they are either phase-bound
+/// sync the sequential engine also ignores, or generator noise.
 fn h_nop<T: Tier>(_ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> usize {
     pc + 1
 }
 
 // ---------------------------------------------------------------------------
-// Iteration-mode control handlers (transliterations of `run_iteration` arms).
+// Iteration-mode control handlers.
 // ---------------------------------------------------------------------------
 
 /// `a=lane` — the synchronized-segment entry wait.
@@ -717,22 +726,30 @@ fn h_select_iter<T: Tier>(ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> usi
     pc + 1
 }
 
-/// Call out of the iteration; call data lives in the boxed `POp` at `pc`. Callees run on
-/// the switch engine (calls are rare in iteration code, and this keeps the callee
-/// semantics identical to the reference tier by construction).
+/// Call out of the iteration; call data lives in the boxed `POp` at `pc`. The callee runs
+/// on the flat tables of the same build (decoded, and JIT-patched on the `Jit` tier, for
+/// every function reachable from the loop's function), unmetered and untraced, from an
+/// empty call stack.
 fn h_call_iter<T: Tier>(ctx: &mut TCtx<'_, T>, _op: &TOp<T>, pc: usize) -> usize {
     let image = ctx.image;
     let pcode = ctx.pcode;
     let POp::CallB(call) = &pcode[pc] else {
         unreachable!("decoder installs h_call_iter only on CallB")
     };
-    let actuals: Vec<Value> = call.args.iter().map(|a| eval(ctx.regs, *a)).collect();
-    let mut callee_regs: Vec<Value> = Vec::new();
-    prepare_callee_regs(image, call.func, &actuals, &mut callee_regs);
-    match run_flat(
+    let cf = &image.funcs[call.func as usize];
+    let mut callee_regs = vec![Value::default(); cf.num_regs.max(call.args.len())];
+    for (slot, a) in callee_regs
+        .iter_mut()
+        .zip(call.args.iter())
+        .take(cf.num_params)
+    {
+        *slot = eval(ctx.regs, *a);
+    }
+    match run_flat_threaded(
         image,
+        ctx.flat,
         FuncId::new(call.func),
-        image.funcs[call.func as usize].entry_block,
+        cf.entry_block,
         None,
         &mut callee_regs,
         ctx.tier,
@@ -833,11 +850,11 @@ fn h_cmpbr_rr<T: Tier, P: CPred>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize)
 }
 
 // ---------------------------------------------------------------------------
-// Flat-mode control handlers (transliterations of `run_flat` arms).
+// Flat-mode control handlers.
 // ---------------------------------------------------------------------------
 
 /// Resolves a flat top-level block transition: stop-block and budget checks apply only
-/// outside callees, like `run_flat`.
+/// outside callees.
 #[inline(always)]
 fn flat_edge<T: Tier>(ctx: &mut TCtx<'_, T>, target: u32, block: u32) -> usize {
     if ctx.frames.is_empty() {
@@ -957,8 +974,8 @@ fn h_ret_i_flat<T: Tier>(ctx: &mut TCtx<'_, T>, op: &TOp<T>, _pc: usize) -> usiz
 
 // ---------------------------------------------------------------------------
 // Decoders: POp/Op streams → TOp arrays. Interior slots of fused windows decode like any
-// other op (they keep their original POp), so jumps into the middle of a window work
-// exactly as they do on the switch engine.
+// other op (they keep their original POp), so jumps into the middle of a window run the
+// unfused ops.
 // ---------------------------------------------------------------------------
 
 /// Decodes a mode-independent data op; `None` for control ops and the boxed shapes
@@ -1377,9 +1394,9 @@ fn decode_iter_op<T: Tier>(p: &POp) -> TOp<T> {
 }
 
 /// Decodes one whole-function op for the flat engine. Data ops reuse the iteration
-/// specializer (with `private_ok = false`, matching `run_flat`'s shared-route accesses);
+/// specializer (with `private_ok = false`: flat code always takes the shared route);
 /// control ops decode straight from the [`Op`] so block fields survive for the stop-block
-/// and budget checks. No fusion in flat mode — same as `run_flat`.
+/// and budget checks. No fusion in flat mode.
 fn decode_flat_op<T: Tier>(op: &Op) -> TOp<T> {
     match op {
         Op::Wait { .. } | Op::Signal { .. } => TOp::new(h_nop::<T>),
@@ -1484,28 +1501,32 @@ impl<T: Tier> FlatTables<T> {
 // Runners.
 // ---------------------------------------------------------------------------
 
-/// [`crate::parallel_image::run_iteration`] on the threaded tier: identical contract,
-/// identical observable semantics (the fuzz oracle and the telemetry parity test hold the
-/// two to bitwise agreement).
+/// Executes one iteration of the lowered loop. `regs` must already hold the loop-entry
+/// snapshot with induction variables privatized for `iteration`; `on_control` is invoked
+/// when the iteration's prologue completes (at most once per iteration from inside the code;
+/// the caller must also release control when the iteration completes without entering the
+/// body). Calls out of the iteration run on `flat`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_iteration_threaded<T: Tier>(
     image: &ExecImage,
     loop_image: &LoopImage,
     table: &IterTable<T>,
+    flat: &FlatTables<T>,
     iteration: u64,
     regs: &mut Vec<Value>,
     tier: &mut T,
     sync: &IterSync<'_>,
     on_control: &mut dyn FnMut(),
 ) -> Result<IterEnd, IterError> {
-    // This worker's telemetry handle; statically `None` without the feature, exactly like
-    // `run_iteration`, so every recording branch in the handlers folds away.
+    // This worker's telemetry handle; statically `None` without the feature, so every
+    // recording branch in the handlers folds away.
     #[cfg(feature = "telemetry")]
     let telem = sync.telem;
     #[cfg(not(feature = "telemetry"))]
     let telem: Option<WorkerCtx<'_>> = None;
     let mut ctx = TCtx {
         image,
+        flat,
         pcode: &loop_image.pcode,
         regs,
         tier,
@@ -1530,8 +1551,12 @@ pub(crate) fn run_iteration_threaded<T: Tier>(
     ctx.end_iter.expect("iteration ended without a verdict")
 }
 
-/// [`crate::parallel_image::run_flat`] on the threaded tier: identical contract (stop
-/// block, budget metering, unwind-to-bottom register hand-back).
+/// Runs whole-function code: Phase A (with `stop_block` = the loop header), Phase C and
+/// the callees of iteration code all go through here. `Wait`/`Signal` are no-ops.
+///
+/// `budget` bounds top-level block transitions (the caller's runaway-loop guard); callee
+/// blocks are unmetered. If the run ends inside a callee, `regs` is unwound to the bottom
+/// frame's register file.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_flat_threaded<T: Tier>(
     image: &ExecImage,
@@ -1553,6 +1578,7 @@ pub(crate) fn run_flat_threaded<T: Tier>(
     let entry = f.block_start(start_block) as usize;
     let mut ctx = TCtx {
         image,
+        flat: tables,
         pcode: &[],
         regs,
         tier,
@@ -1578,7 +1604,7 @@ pub(crate) fn run_flat_threaded<T: Tier>(
         ..
     } = ctx;
     // Hand the (possibly callee-stale) top-level register file back: unwind to the bottom
-    // frame if the run ended inside a callee, like `run_flat`.
+    // frame if the run ended inside a callee.
     if let Some(bottom) = frames.into_iter().next() {
         *regs = bottom.regs;
     }

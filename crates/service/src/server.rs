@@ -184,16 +184,15 @@ impl Server {
         for (k, v) in pairs {
             r.extra.push((k.to_string(), v.to_string()));
         }
-        // The dispatch engine every parallel job resolves to: `Auto` goes through the
-        // process-wide calibration cache, exactly as `run_job`'s executors do, so this
-        // is the engine the next job will run on — plus the measured per-op ALU
-        // dispatch costs behind the choice.
+        // The dispatch engine every parallel job resolves to (the default tier's static
+        // rule, exactly as `run_job`'s executors apply it), plus the measured per-op ALU
+        // dispatch costs of both tiers.
         let calibration = CalibrationProfile::cached();
         let push = |r: &mut Response, k: &str, v: String| r.extra.push((k.to_string(), v));
         push(
             &mut r,
             "dispatch_tier",
-            calibration.selected_tier().to_string(),
+            DispatchTier::default().effective().to_string(),
         );
         push(
             &mut r,
@@ -201,7 +200,6 @@ impl Server {
             helix_runtime::jit_supported().to_string(),
         );
         for (name, tier) in [
-            ("calibration_alu_switch_ns", DispatchTier::Switch),
             ("calibration_alu_threaded_ns", DispatchTier::Threaded),
             ("calibration_alu_jit_ns", DispatchTier::Jit),
         ] {

@@ -2,11 +2,10 @@
 
 use helix_core::{HelixConfig, HelixOutput, ParallelizedLoop, PrefetchMode};
 use helix_profiler::{LoopKey, ProgramProfile};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Simulation configuration: the platform description plus the prefetching mode under test.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimConfig {
     /// The platform/transformation configuration (core count, latencies, ablation switches).
     pub helix: HelixConfig,
@@ -37,7 +36,7 @@ impl Default for SimConfig {
 }
 
 /// Timing result for one parallelized loop.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LoopSimResult {
     /// Cycles the loop took in the sequential profiling run.
     pub sequential_cycles: f64,
@@ -52,7 +51,7 @@ pub struct LoopSimResult {
 }
 
 /// Whole-program simulation result.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProgramSimResult {
     /// Cycles of the sequential run.
     pub sequential_cycles: f64,

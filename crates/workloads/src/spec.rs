@@ -11,10 +11,9 @@
 use crate::kernels;
 use helix_ir::builder::{FunctionBuilder, ModuleBuilder};
 use helix_ir::{FuncId, Module, Operand};
-use serde::{Deserialize, Serialize};
 
 /// Tuning knobs of one synthetic benchmark.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BenchParams {
     /// Elements processed by the DOALL-style transform loop (0 disables the kernel).
     pub transform_elements: i64,
@@ -45,7 +44,7 @@ pub struct BenchParams {
 }
 
 /// One synthetic SPEC stand-in.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpecBenchmark {
     /// The SPEC benchmark this program stands in for (e.g. "art").
     pub name: &'static str,

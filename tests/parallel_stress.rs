@@ -308,11 +308,7 @@ fn concurrency_repros_match_the_sequential_result_on_every_tier() {
         let main = module.function_by_name("main").unwrap();
         let expected = Machine::new(&module).call(main, &[]).unwrap();
         let pimg = ParallelImage::lower(&transform::apply(&module, &plan));
-        for tier in [
-            DispatchTier::Switch,
-            DispatchTier::Threaded,
-            DispatchTier::Jit,
-        ] {
+        for tier in [DispatchTier::Threaded, DispatchTier::Jit] {
             for threads in [2, 4] {
                 let executor = ParallelExecutor::new(threads)
                     .with_wait_profile(WaitProfile::DEDICATED)

@@ -110,8 +110,8 @@ fn full_traces_are_well_formed_at_every_thread_count() {
 
 #[test]
 fn dispatch_tiers_produce_identical_telemetry() {
-    // Telemetry must be dispatch-tier-agnostic: the direct-threaded engine drives the
-    // exact same hooks as the switch interpreter. Under the forced DEDICATED profile the
+    // Telemetry must be dispatch-tier-agnostic: the JIT's native chunks drive the exact
+    // same hooks as plain threaded dispatch. Under the forced DEDICATED profile the
     // structural invariants (balanced waits, claim permutation) must hold in both tiers,
     // and with one worker — where the schedule is deterministic — the counters must be
     // *identical*, not merely well-formed.
@@ -133,10 +133,10 @@ fn dispatch_tiers_produce_identical_telemetry() {
             );
             report.expect("telemetry enabled, report expected")
         };
-        let switch = run_with(DispatchTier::Switch);
         let threaded = run_with(DispatchTier::Threaded);
+        let jit = run_with(DispatchTier::Jit);
 
-        for (tier, report) in [("switch", &switch), ("threaded", &threaded)] {
+        for (tier, report) in [("threaded", &threaded), ("jit", &jit)] {
             let violations = telemetry_violations(report);
             assert!(
                 violations.is_empty(),
@@ -163,8 +163,8 @@ fn dispatch_tiers_produce_identical_telemetry() {
                 )
             };
             assert_eq!(
-                totals(&switch),
                 totals(&threaded),
+                totals(&jit),
                 "1t: tiers disagree on deterministic counters"
             );
             // And the event streams agree kind-for-kind and iteration-for-iteration
@@ -176,11 +176,7 @@ fn dispatch_tiers_produce_identical_telemetry() {
                     .map(|e| (e.kind, e.iteration))
                     .collect::<Vec<_>>()
             };
-            assert_eq!(
-                kinds(&switch),
-                kinds(&threaded),
-                "1t: event streams diverge"
-            );
+            assert_eq!(kinds(&threaded), kinds(&jit), "1t: event streams diverge");
         }
     }
 }
